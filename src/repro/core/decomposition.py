@@ -5,7 +5,8 @@ this type stores it in the *center form* the algorithm naturally produces
 (each vertex points at its piece's center vertex) plus the dense label form
 downstream consumers want (quotient graphs, renderers).  All statistics the
 benchmarks report — piece sizes, radii, cut edges, cut fraction — are
-methods here, computed vectorised and cached where they are O(m).
+methods here, each a vectorised O(n + m) scan; :meth:`Decomposition.summary`
+is computed once and cached (pool workers ship it home with the result).
 """
 
 from __future__ import annotations
@@ -16,13 +17,53 @@ import numpy as np
 
 from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ops import cut_edge_mask
+from repro.graphs.ops import count_cut_edges, cut_edge_mask
 
 __all__ = ["Decomposition", "PartitionTrace"]
 
 
+class _CenterForm:
+    """Label form shared by the unweighted and weighted decompositions.
+
+    Needs ``graph``, ``center`` and a ``_cache`` dict on the instance.
+    """
+
+    @property
+    def centers(self) -> np.ndarray:
+        """Sorted array of distinct center vertex ids (one per piece)."""
+        if "centers" not in self._cache:
+            present = np.bincount(
+                self.center, minlength=self.graph.num_vertices
+            )
+            self._cache["centers"] = np.flatnonzero(present)
+        return self._cache["centers"]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Dense piece labels ``0..k−1``, ordered by center vertex id."""
+        if "labels" not in self._cache:
+            centers = self.centers
+            lookup = np.full(self.graph.num_vertices, -1, dtype=np.int64)
+            lookup[centers] = np.arange(centers.shape[0], dtype=np.int64)
+            self._cache["labels"] = lookup[self.center]
+        return self._cache["labels"]
+
+    @property
+    def num_pieces(self) -> int:
+        """Number of pieces ``k``."""
+        return int(self.centers.shape[0])
+
+    def piece_sizes(self) -> np.ndarray:
+        """Vertex count per piece, aligned with :attr:`centers`."""
+        return np.bincount(self.labels, minlength=self.num_pieces)
+
+    def piece_members(self, label: int) -> np.ndarray:
+        """Vertex ids belonging to piece ``label``."""
+        return np.flatnonzero(self.labels == label)
+
+
 @dataclass(frozen=True, eq=False)
-class Decomposition:
+class Decomposition(_CenterForm):
     """A partition of a graph's vertices into centered pieces.
 
     Attributes
@@ -65,41 +106,8 @@ class Decomposition:
         object.__setattr__(self, "hops", hops)
 
     # ------------------------------------------------------------------
-    # label form
-    # ------------------------------------------------------------------
-    @property
-    def centers(self) -> np.ndarray:
-        """Sorted array of distinct center vertex ids (one per piece)."""
-        if "centers" not in self._cache:
-            self._cache["centers"] = np.unique(self.center)
-        return self._cache["centers"]
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Dense piece labels ``0..k−1``, ordered by center vertex id."""
-        if "labels" not in self._cache:
-            centers = self.centers
-            lookup = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-            lookup[centers] = np.arange(centers.shape[0], dtype=np.int64)
-            self._cache["labels"] = lookup[self.center]
-        return self._cache["labels"]
-
-    @property
-    def num_pieces(self) -> int:
-        """Number of pieces ``k``."""
-        return int(self.centers.shape[0])
-
-    # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-    def piece_sizes(self) -> np.ndarray:
-        """Vertex count per piece, aligned with :attr:`centers`."""
-        return np.bincount(self.labels, minlength=self.num_pieces)
-
-    def piece_members(self, label: int) -> np.ndarray:
-        """Vertex ids belonging to piece ``label``."""
-        return np.flatnonzero(self.labels == label)
-
     def radii(self) -> np.ndarray:
         """Max hop distance to the center, per piece (piece *radius*).
 
@@ -122,7 +130,11 @@ class Decomposition:
 
     def num_cut_edges(self) -> int:
         """Number of edges with endpoints in different pieces."""
-        return int(self.cut_mask().sum())
+        if "num_cut_edges" not in self._cache:
+            self._cache["num_cut_edges"] = count_cut_edges(
+                self.graph, self.center
+            )
+        return self._cache["num_cut_edges"]
 
     def cut_fraction(self) -> float:
         """``cut edges / m`` — the β-side of Definition 1.1 (0 if no edges)."""
@@ -130,18 +142,24 @@ class Decomposition:
         return self.num_cut_edges() / m if m else 0.0
 
     def summary(self) -> dict[str, float]:
-        """One-line statistics dict used by benchmarks and the CLI."""
-        sizes = self.piece_sizes()
-        radii = self.radii()
-        return {
-            "num_pieces": float(self.num_pieces),
-            "max_piece_size": float(sizes.max()) if sizes.size else 0.0,
-            "mean_piece_size": float(sizes.mean()) if sizes.size else 0.0,
-            "max_radius": float(radii.max()) if radii.size else 0.0,
-            "mean_radius": float(radii.mean()) if radii.size else 0.0,
-            "num_cut_edges": float(self.num_cut_edges()),
-            "cut_fraction": float(self.cut_fraction()),
-        }
+        """One-line statistics dict used by benchmarks and the CLI.
+
+        Computed once and cached; each call returns a fresh copy because
+        callers extend the dict they get.
+        """
+        if "summary" not in self._cache:
+            sizes = self.piece_sizes()
+            radii = self.radii()
+            self._cache["summary"] = {
+                "num_pieces": float(self.num_pieces),
+                "max_piece_size": float(sizes.max()) if sizes.size else 0.0,
+                "mean_piece_size": float(sizes.mean()) if sizes.size else 0.0,
+                "max_radius": float(radii.max()) if radii.size else 0.0,
+                "mean_radius": float(radii.mean()) if radii.size else 0.0,
+                "num_cut_edges": float(self.num_cut_edges()),
+                "cut_fraction": float(self.cut_fraction()),
+            }
+        return dict(self._cache["summary"])
 
 
 @dataclass(frozen=True, eq=False)

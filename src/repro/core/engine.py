@@ -32,7 +32,7 @@ import math
 import os
 import warnings
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -221,7 +221,6 @@ class BatchResult:
     """All runs of one :func:`decompose_many` call plus their aggregate."""
 
     runs: tuple[BatchRun, ...]
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def results(self) -> list[PartitionResult]:
@@ -231,12 +230,11 @@ class BatchResult:
     def summaries(self) -> list[dict[str, float | str]]:
         """Per-run summary dicts, in task order (stable across executors).
 
-        Cached: each summary scans the run's whole graph (piece sizes,
-        radii, cuts), and ``values``/``aggregate`` consumers ask repeatedly.
+        Cheap to call repeatedly: each decomposition computes its statistics
+        once (pooled runs arrive with them computed by the worker), so a
+        call only builds the per-run dicts.
         """
-        if "summaries" not in self._cache:
-            self._cache["summaries"] = [run.summary() for run in self.runs]
-        return self._cache["summaries"]
+        return [run.summary() for run in self.runs]
 
     def values(self, key: str) -> np.ndarray:
         """One summary statistic across all runs, as a float array."""

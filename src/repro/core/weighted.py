@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bfs.dijkstra import dijkstra_multisource
-from repro.core.decomposition import PartitionTrace
+from repro.core.decomposition import PartitionTrace, _CenterForm
 from repro.core.registry import register_method
 from repro.core.shifts import sample_shifts
 from repro.errors import GraphError
@@ -36,7 +36,7 @@ __all__ = ["WeightedDecomposition", "partition_weighted"]
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedDecomposition:
+class WeightedDecomposition(_CenterForm):
     """Weighted analogue of :class:`~repro.core.decomposition.Decomposition`.
 
     ``radius`` holds each vertex's weighted distance to its center (the
@@ -47,19 +47,6 @@ class WeightedDecomposition:
     center: np.ndarray
     radius: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def labels(self) -> np.ndarray:
-        if "labels" not in self._cache:
-            centers = np.unique(self.center)
-            lookup = np.full(self.graph.num_vertices, -1, dtype=np.int64)
-            lookup[centers] = np.arange(centers.shape[0], dtype=np.int64)
-            self._cache["labels"] = lookup[self.center]
-        return self._cache["labels"]
-
-    @property
-    def num_pieces(self) -> int:
-        return int(np.unique(self.center).shape[0])
 
     def max_radius(self) -> float:
         """Largest weighted distance from any vertex to its center."""
@@ -89,14 +76,6 @@ class WeightedDecomposition:
     def num_cut_edges(self) -> int:
         return self._cut_stats()[0]
 
-    def piece_sizes(self) -> np.ndarray:
-        """Vertex count per piece, aligned with sorted distinct centers."""
-        return np.bincount(self.labels, minlength=self.num_pieces)
-
-    def piece_members(self, label: int) -> np.ndarray:
-        """Vertex ids belonging to piece ``label``."""
-        return np.flatnonzero(self.labels == label)
-
     def radii(self) -> np.ndarray:
         """Max weighted distance to the center, per piece."""
         out = np.zeros(self.num_pieces, dtype=np.float64)
@@ -108,22 +87,27 @@ class WeightedDecomposition:
 
         ``cut_fraction`` is the *weighted* measure (cut weight over total
         weight — the β of the Section 6 analysis); the raw edge-count
-        fraction is reported separately as ``cut_edge_fraction``.
+        fraction is reported separately as ``cut_edge_fraction``.  Cached
+        like the unweighted summary; each call returns a fresh copy.
         """
-        sizes = self.piece_sizes()
-        radii = self.radii()
-        m = self.graph.num_edges
-        return {
-            "num_pieces": float(self.num_pieces),
-            "max_piece_size": float(sizes.max()) if sizes.size else 0.0,
-            "mean_piece_size": float(sizes.mean()) if sizes.size else 0.0,
-            "max_radius": float(radii.max()) if radii.size else 0.0,
-            "mean_radius": float(radii.mean()) if radii.size else 0.0,
-            "num_cut_edges": float(self.num_cut_edges()),
-            "cut_fraction": float(self.cut_weight_fraction()),
-            "cut_weight": float(self.cut_weight()),
-            "cut_edge_fraction": float(self.num_cut_edges() / m) if m else 0.0,
-        }
+        if "summary" not in self._cache:
+            sizes = self.piece_sizes()
+            radii = self.radii()
+            m = self.graph.num_edges
+            self._cache["summary"] = {
+                "num_pieces": float(self.num_pieces),
+                "max_piece_size": float(sizes.max()) if sizes.size else 0.0,
+                "mean_piece_size": float(sizes.mean()) if sizes.size else 0.0,
+                "max_radius": float(radii.max()) if radii.size else 0.0,
+                "mean_radius": float(radii.mean()) if radii.size else 0.0,
+                "num_cut_edges": float(self.num_cut_edges()),
+                "cut_fraction": float(self.cut_weight_fraction()),
+                "cut_weight": float(self.cut_weight()),
+                "cut_edge_fraction": (
+                    float(self.num_cut_edges() / m) if m else 0.0
+                ),
+            }
+        return dict(self._cache["summary"])
 
 
 @register_method(

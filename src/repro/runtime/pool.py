@@ -127,11 +127,16 @@ def _worker_graph(graph_key: str, descriptor: SharedGraphDescriptor):
 def _execute_request(payload: tuple) -> tuple:
     """Run one request against the worker's attached graph, return it slim.
 
+    The worker also computes the decomposition's summary, so the parent
+    (the serving layer's event loop in particular) never scans the graph
+    to report a result.
+
     An optional eighth payload element is the propagated trace context
     (``{"trace_id", "span_id"}``): when present, the worker adopts it,
     collects every span the decomposition produces (the ``pool.execute``
-    wrapper plus the BFS-phase spans underneath), and ships them home in
-    the slim tuple so the serving layer can attach them to its response.
+    wrapper plus the BFS-phase and ``pool.summary`` spans underneath), and
+    ships them home in the slim tuple so the serving layer can attach them
+    to its response.
     """
     graph_key, descriptor, beta, method, seed, validate, options = payload[:7]
     trace_ctx = payload[7] if len(payload) > 7 else None
@@ -141,6 +146,7 @@ def _execute_request(payload: tuple) -> tuple:
             graph, beta, method=method, seed=seed, validate=validate,
             **options,
         )
+        result.decomposition.summary()
         return _slim_result(result)
     from repro.telemetry import trace as _trace
 
@@ -156,17 +162,24 @@ def _execute_request(payload: tuple) -> tuple:
                     graph, beta, method=method, seed=seed,
                     validate=validate, **options,
                 )
+                with _trace.span("pool.summary"):
+                    result.decomposition.summary()
     return _slim_result(result, spans=tuple(spans))
 
 
 def _slim_result(result: PartitionResult, spans: tuple = ()) -> tuple:
-    """Strip the graph out of a result for transport (assignments only)."""
+    """Strip the graph out of a result for transport (assignments only).
+
+    The decomposition's summary rides along when it has been computed, so
+    the rehydrated result answers ``summary()`` without a graph scan.
+    """
     decomposition = result.decomposition
     if isinstance(decomposition, WeightedDecomposition):
         payload = ("weighted", decomposition.center, decomposition.radius)
     else:
         payload = ("unweighted", decomposition.center, decomposition.hops)
-    return payload, result.trace, result.report, spans
+    summary = decomposition._cache.get("summary")
+    return payload, result.trace, result.report, spans, summary
 
 
 def _rehydrate_result(
@@ -174,15 +187,15 @@ def _rehydrate_result(
     slim: tuple,
 ) -> PartitionResult:
     """Rebind a slim result to the parent's graph object."""
-    (kind, center, per_vertex), trace, report = slim[:3]
-    spans = slim[3] if len(slim) > 3 else ()
+    (kind, center, per_vertex), trace, report, spans, summary = slim
+    cache = {} if summary is None else {"summary": summary}
     if kind == "weighted":
         decomposition = WeightedDecomposition(
-            graph=graph, center=center, radius=per_vertex
+            graph=graph, center=center, radius=per_vertex, _cache=cache
         )
     else:
         decomposition = Decomposition(
-            graph=graph, center=center, hops=per_vertex
+            graph=graph, center=center, hops=per_vertex, _cache=cache
         )
     return PartitionResult(
         decomposition=decomposition, trace=trace, report=report,

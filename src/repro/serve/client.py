@@ -295,13 +295,12 @@ class ServeClient:
         self._max_protocol = int(max_protocol)
         #: negotiated lazily from the first exchange; ``None`` = not yet.
         self._protocol: int | None = None
-        self._sock: socket.socket | None = self._connect(
-            host, port, timeout, connect_window
-        )
+        sock, address = self._connect(host, port, timeout, connect_window)
+        self._sock: socket.socket | None = sock
         #: the peer actually connected to — lets callers (e.g. a provider
         #: batching through a second, pipelined client) re-dial the same
         #: endpoint after `"0"`-port resolution.
-        self._address: tuple[str, int] = self._sock.getpeername()[:2]
+        self._address: tuple[str, int] = address
         self._lock = threading.Lock()
 
     @property
@@ -312,13 +311,19 @@ class ServeClient:
     @staticmethod
     def _connect(
         host: str, port: int, timeout: float, window: float
-    ) -> socket.socket:
+    ) -> tuple[socket.socket, tuple[str, int]]:
         deadline = time.monotonic() + max(0.0, float(window))
         delay = 0.05
         while True:
+            sock = None
             try:
-                return socket.create_connection((host, port), timeout=timeout)
+                sock = socket.create_connection((host, port), timeout=timeout)
+                # A server that is shutting down can accept and reset the
+                # connection at once; that surfaces here, not above.
+                return sock, sock.getpeername()[:2]
             except OSError as exc:
+                if sock is not None:
+                    sock.close()
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise ServeError(

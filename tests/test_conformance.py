@@ -11,7 +11,8 @@ rehydration bug — fails here first.
 
 The suite runs every unweighted method over several families and seeds and
 the weighted methods over weighted lifts of the same families, comparing
-``center`` plus ``hops`` (unweighted) / ``radius`` (weighted) exactly.
+``center`` plus ``hops`` (unweighted) / ``radius`` (weighted) exactly, and
+the result summaries (pooled results carry the one their worker computed).
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def _assert_identical(result_a, result_b, context: str):
     np.testing.assert_array_equal(center_a, center_b, err_msg=context)
     np.testing.assert_array_equal(extra_a, extra_b, err_msg=context)
     assert result_a.trace.method == result_b.trace.method, context
+    assert result_a.summary() == result_b.summary(), context
 
 
 def _conformance_for(graphs: dict, method: str):

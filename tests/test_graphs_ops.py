@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import GraphError
 from repro.graphs.build import from_edges
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -165,9 +166,24 @@ class TestCuts:
         labels = np.asarray([0, 1, 0, 1, 0])
         assert count_cut_edges(g, labels) == 4
 
+    def test_unsorted_neighbour_lists(self):
+        """The arc-scan count must not rely on sorted adjacency rows, which
+        CSR validation does not require."""
+        g = grid_2d(6, 7)
+        rows = [g.neighbors(v)[::-1] for v in range(g.num_vertices)]
+        shuffled = CSRGraph(g.indptr, np.concatenate(rows))
+        assert not np.array_equal(shuffled.indices, g.indices)
+        labels = np.random.default_rng(5).integers(0, 4, g.num_vertices)
+        expected = int(cut_edge_mask(shuffled, labels).sum())
+        assert expected > 0
+        assert count_cut_edges(shuffled, labels) == expected
+        assert count_cut_edges(g, labels) == expected
+
     def test_length_mismatch(self):
         with pytest.raises(GraphError):
             cut_edge_mask(path_graph(3), np.zeros(2, dtype=np.int64))
+        with pytest.raises(GraphError):
+            count_cut_edges(path_graph(3), np.zeros(2, dtype=np.int64))
 
 
 class TestDegreeStatistics:

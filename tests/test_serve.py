@@ -17,9 +17,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import repro.core.decomposition
+import repro.graphs.ops
 from repro.core.engine import decompose
 from repro.core.registry import method_names
 from repro.errors import ParameterError, ServeError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
 from repro.graphs.io import to_json, write_edge_list, write_metis
 from repro.graphs.weighted import WeightedCSRGraph, weights_by_name
@@ -552,6 +555,35 @@ class TestServerLifecycle:
                     graph, 0.3, seed=6
                 )
 
+    def test_cold_decompose_scans_no_graph_on_the_server(self, monkeypatch):
+        """A miss's summary comes back from the pool worker: with the
+        server process unable to build an edge array or count cut edges,
+        cold requests still answer with the in-process summary."""
+        graph = grid_2d(12, 12)
+        weighted = weights_by_name(graph, "uniform:0.5,2.0", seed=2)
+        expected = {
+            "unweighted": decompose(graph, 0.25, seed=4).summary(),
+            "weighted": decompose(weighted, 0.25, seed=4).summary(),
+        }
+
+        def _no_graph_scan(*_args, **_kwargs):
+            raise AssertionError("graph-sized work in the server process")
+
+        with serve_background([graph, weighted], max_workers=1) as server:
+            # The fork-started workers are already up, so only the server
+            # process sees the patches.
+            monkeypatch.setattr(CSRGraph, "edge_array", _no_graph_scan)
+            for module in (repro.graphs.ops, repro.core.decomposition):
+                monkeypatch.setattr(module, "count_cut_edges", _no_graph_scan)
+            with ServeClient(*server.address) as client:
+                for digest, kind in zip(
+                    server.preloaded, ("unweighted", "weighted")
+                ):
+                    result = client.decompose(digest, 0.25, seed=4)
+                    assert not result.cached
+                    want = expected[kind]
+                    assert {k: result.summary[k] for k in want} == want
+
     def test_cache_disabled_still_coalesces_nothing_breaks(self):
         graph = grid_2d(6, 6)
         with serve_background(graph, max_workers=1, cache_bytes=0) as server:
@@ -569,6 +601,29 @@ class TestServerLifecycle:
         sock.close()  # port is now (very likely) closed
         with pytest.raises(ServeError, match="cannot connect"):
             ServeClient("127.0.0.1", port, timeout=2.0, connect_window=0)
+
+    def test_client_connect_reset_by_peer(self, monkeypatch):
+        """A server shutting down may accept and reset at once: the client
+        must raise ServeError (and close the socket), not a bare OSError."""
+        made = []
+
+        class _ResetSocket:
+            closed = False
+
+            def getpeername(self):
+                raise OSError(107, "Transport endpoint is not connected")
+
+            def close(self):
+                self.closed = True
+
+        def _create_connection(*_args, **_kwargs):
+            made.append(_ResetSocket())
+            return made[-1]
+
+        monkeypatch.setattr(socket, "create_connection", _create_connection)
+        with pytest.raises(ServeError, match="cannot connect"):
+            ServeClient("127.0.0.1", 1, timeout=2.0, connect_window=0)
+        assert made and all(s.closed for s in made)
 
     def test_client_closes_on_transport_failure(self):
         """A mid-frame failure desynchronizes the stream (no request ids),
