@@ -34,7 +34,8 @@ from repro.bfs.sequential import multi_source_bfs
 from repro.core.decomposition import Decomposition
 from repro.core.weighted import WeightedDecomposition
 from repro.errors import VerificationError
-from repro.graphs.ops import induced_subgraph
+from repro.graphs.csr import CSRGraph
+from repro.graphs.ops import split_by_labels
 
 __all__ = ["VerificationReport", "verify_decomposition", "strong_diameters"]
 
@@ -69,6 +70,37 @@ class VerificationReport:
         return self.is_partition and self.pieces_connected and self.hops_consistent
 
 
+def _center_distances(
+    decomposition: Decomposition | WeightedDecomposition,
+):
+    """Per piece, in label order: ``(members, piece, dist)``.
+
+    ``dist`` is the hop distance of each member from the piece's center,
+    measured inside the induced ``piece`` (−1 where the center cannot reach
+    it).  All pieces are carved in one :func:`split_by_labels` pass; a
+    single-vertex piece comes back as ``piece=None`` with ``dist=[0]``.
+    """
+    centers = decomposition.centers
+    pieces = split_by_labels(decomposition.graph, decomposition.labels)
+    for label, (members, piece) in enumerate(pieces):
+        if piece is None:
+            yield members, None, np.zeros(members.size, dtype=np.int64)
+            continue
+        source = np.searchsorted(members, centers[label])
+        dist = multi_source_bfs(piece, np.asarray([source])).dist
+        yield members, piece, dist
+
+
+def _exact_diameter(piece: CSRGraph | None) -> int:
+    """Strong diameter of a connected piece: one BFS per vertex."""
+    if piece is None:
+        return 0
+    return max(
+        int(multi_source_bfs(piece, np.asarray([v])).dist.max())
+        for v in range(piece.num_vertices)
+    )
+
+
 def strong_diameters(
     decomposition: Decomposition, *, exact: bool = False
 ) -> np.ndarray:
@@ -80,25 +112,13 @@ def strong_diameters(
     the induced subgraph — O(Σ piece_size · piece_edges), fine for the test
     and benchmark sizes.
     """
-    graph = decomposition.graph
     out = np.zeros(decomposition.num_pieces, dtype=np.int64)
-    for label in range(decomposition.num_pieces):
-        members = decomposition.piece_members(label)
-        sub = induced_subgraph(graph, members)
-        center_local = sub.new_ids[decomposition.centers[label]]
-        res = multi_source_bfs(sub.graph, np.asarray([center_local]))
-        if np.any(res.dist < 0):
+    for label, (_, piece, dist) in enumerate(_center_distances(decomposition)):
+        if np.any(dist < 0):
             raise VerificationError(
                 f"piece {label} is disconnected from its center"
             )
-        if exact:
-            diam = 0
-            for v in range(sub.graph.num_vertices):
-                dv = multi_source_bfs(sub.graph, np.asarray([v])).dist
-                diam = max(diam, int(dv.max()))
-            out[label] = diam
-        else:
-            out[label] = int(res.dist.max())
+        out[label] = _exact_diameter(piece) if exact else int(dist.max())
     return out
 
 
@@ -128,64 +148,59 @@ def verify_decomposition(
         Raise :class:`VerificationError` on deterministic invariant failures
         (default); pass ``False`` to collect the report regardless.
     """
-    if isinstance(decomposition, WeightedDecomposition):
-        return _verify_weighted(
-            decomposition,
-            delta_max=delta_max,
-            raise_on_violation=raise_on_violation,
-        )
-    graph = decomposition.graph
-    n = graph.num_vertices
+    # A weighted piece's eccentricity from its center is exactly its
+    # radius, so a weighted run reports the radius as the strong-diameter
+    # certificate (the true strong diameter lies in [r, 2r]).
+    weighted = isinstance(decomposition, WeightedDecomposition)
+    exact = exact_diameters and not weighted
+    n = decomposition.graph.num_vertices
     labels = decomposition.labels
-    center = decomposition.center
-    hops = decomposition.hops
 
     is_partition = bool(
-        labels.shape[0] == n and np.all(labels >= 0) and np.all(center >= 0)
+        labels.shape[0] == n
+        and np.all(labels >= 0)
+        and np.all(decomposition.center >= 0)
     )
 
     pieces_connected = True
-    hops_consistent = True
+    hops_consistent = True  # vacuous for weighted runs
     max_diam = 0
-    for label in range(decomposition.num_pieces):
-        members = decomposition.piece_members(label)
-        sub = induced_subgraph(graph, members)
-        center_local = int(sub.new_ids[decomposition.centers[label]])
-        res = multi_source_bfs(sub.graph, np.asarray([center_local]))
-        if np.any(res.dist < 0):
+    for members, piece, inside in _center_distances(decomposition):
+        if np.any(inside < 0):
             pieces_connected = False
+            continue
+        if weighted:
             continue
         # Lemma 4.1, executable: the hop distance the algorithm recorded must
         # equal the true distance measured *inside* the piece.
-        inside = res.dist
-        recorded = hops[members]
-        if not np.array_equal(inside, recorded):
+        if not np.array_equal(inside, decomposition.hops[members]):
             hops_consistent = False
-        if exact_diameters:
-            diam = 0
-            for v in range(sub.graph.num_vertices):
-                dv = multi_source_bfs(sub.graph, np.asarray([v])).dist
-                diam = max(diam, int(dv.max()))
-            max_diam = max(max_diam, diam)
-        else:
-            max_diam = max(max_diam, int(inside.max()))
+        max_diam = max(
+            max_diam, _exact_diameter(piece) if exact else int(inside.max())
+        )
 
+    max_radius = decomposition.max_radius()
     report = VerificationReport(
         num_pieces=decomposition.num_pieces,
         is_partition=is_partition,
         pieces_connected=pieces_connected,
         hops_consistent=hops_consistent,
-        max_radius=decomposition.max_radius(),
-        max_strong_diameter=max_diam,
-        diameters_exact=exact_diameters,
+        max_radius=max_radius,
+        max_strong_diameter=max_radius if weighted else max_diam,
+        diameters_exact=exact,
         num_cut_edges=decomposition.num_cut_edges(),
-        cut_fraction=decomposition.cut_fraction(),
+        cut_fraction=(
+            decomposition.cut_weight_fraction()
+            if weighted
+            else decomposition.cut_fraction()
+        ),
         delta_max=delta_max,
         radius_within_certificate=(
-            bool(decomposition.max_radius() <= delta_max)
+            bool(max_radius <= delta_max + (1e-9 if weighted else 0))
             if delta_max is not None
             else None
         ),
+        weighted=weighted,
     )
     if raise_on_violation and not report.all_invariants_hold():
         failing = [
@@ -198,73 +213,7 @@ def verify_decomposition(
             if not ok
         ]
         raise VerificationError(
-            f"decomposition violates deterministic invariants: {failing}"
-        )
-    return report
-
-
-def _verify_weighted(
-    decomposition: WeightedDecomposition,
-    *,
-    delta_max: float | None,
-    raise_on_violation: bool,
-) -> VerificationReport:
-    """Weighted checks: totality, connectivity, weighted radii and cuts.
-
-    Connectivity is a topology statement, so it reuses the unweighted BFS on
-    each induced piece; radii and the ``δ_max`` certificate are compared in
-    weighted distance.  The per-piece weighted eccentricity from the center
-    is exactly ``radius``, so the reported strong-diameter certificate is
-    the radius (the true strong diameter lies in ``[r, 2r]``).
-    """
-    graph = decomposition.graph
-    n = graph.num_vertices
-    labels = decomposition.labels
-    center = decomposition.center
-
-    is_partition = bool(
-        labels.shape[0] == n and np.all(labels >= 0) and np.all(center >= 0)
-    )
-
-    pieces_connected = True
-    for label in range(decomposition.num_pieces):
-        members = np.flatnonzero(labels == label)
-        sub = induced_subgraph(graph, members)
-        center_local = int(sub.new_ids[center[members[0]]])
-        res = multi_source_bfs(sub.graph, np.asarray([center_local]))
-        if np.any(res.dist < 0):
-            pieces_connected = False
-
-    max_radius = decomposition.max_radius()
-    report = VerificationReport(
-        num_pieces=decomposition.num_pieces,
-        is_partition=is_partition,
-        pieces_connected=pieces_connected,
-        hops_consistent=True,  # vacuous: no hop invariant for weighted runs
-        max_radius=max_radius,
-        max_strong_diameter=max_radius,
-        diameters_exact=False,
-        num_cut_edges=decomposition.num_cut_edges(),
-        cut_fraction=decomposition.cut_weight_fraction(),
-        delta_max=delta_max,
-        radius_within_certificate=(
-            bool(max_radius <= delta_max + 1e-9)
-            if delta_max is not None
-            else None
-        ),
-        weighted=True,
-    )
-    if raise_on_violation and not report.all_invariants_hold():
-        failing = [
-            name
-            for name, ok in (
-                ("partition", report.is_partition),
-                ("connectivity", report.pieces_connected),
-            )
-            if not ok
-        ]
-        raise VerificationError(
-            f"weighted decomposition violates deterministic invariants: "
-            f"{failing}"
+            f"{'weighted ' if weighted else ''}decomposition violates "
+            f"deterministic invariants: {failing}"
         )
     return report

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import GraphError, ParameterError
-from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
+from repro.graphs.csr import CSRGraph
 from repro.graphs.ops import (
     connected_components,
-    induced_subgraph,
     quotient_graph,
+    split_by_labels,
 )
 from repro.pipeline import DecomposeRequest, resolve_provider
 from repro.rng.seeding import SeedLike, derive_seed, ensure_int_seed
@@ -175,13 +175,12 @@ def contracted_hierarchy(
 
     The out-of-core counterpart of :func:`hierarchical_decomposition`:
     instead of carving induced subgraphs out of the full graph at every
-    level (each an ``O(m)`` materialisation), each level decomposes the
-    *quotient* of the one below it and contracts.  The full graph is
-    touched exactly once — at level 1, where the quotient streams over a
-    memmap backing — and every later level works on a graph no larger
-    than the previous quotient, so peak RSS is bounded by the first
-    contraction, not the input (the Ceccarello–Pucci level-scheduling
-    idea applied to the AKPW/HST stack).
+    level, each level decomposes the *quotient* of the one below it and
+    contracts.  The full graph is touched exactly once — at level 1,
+    where the quotient streams over a memmap backing — and every later
+    level works on a graph no larger than the previous quotient, so peak
+    RSS is bounded by the first contraction, not the input (the
+    Ceccarello–Pucci level-scheduling idea applied to the AKPW/HST stack).
 
     Levels carry the same scales as the top-down builder (``2^ℓ`` target
     radius, ``β_ℓ = min(β_max, c·ln n / 2^ℓ)``), level 0 is singletons,
@@ -255,51 +254,42 @@ def _refine(
 ) -> np.ndarray:
     """Decompose each coarse piece independently; return dense fine labels.
 
-    Each piece's seed is ``derive_seed(root, "hierarchy", piece digest)`` —
-    a pure function of the root seed and the piece's content, independent
-    of the level it appears at, which is what makes repeated pieces cache
-    hits in the provider's memo.  The level's non-trivial pieces go to the
+    The level's pieces are carved out of ``graph`` together, in one
+    :func:`~repro.graphs.ops.split_by_labels` pass.  Each piece's seed is
+    ``derive_seed(root, "hierarchy", piece digest)`` — a pure function of
+    the root seed and the piece's content, independent of the level it
+    appears at, which is what makes repeated pieces cache hits in the
+    provider's memo.  The level's non-trivial pieces go to the
     backend as one batch (concurrent backends overlap them); trivial
     pieces — a single vertex is already its own cluster — are assigned
     locally, costing no RPC.  Label allocation runs afterwards in piece
     order, so the fine labels are bit-identical to the serial per-piece
     loop regardless of how the batch was scheduled.
     """
-    n = graph.num_vertices
-    fine = np.full(n, -1, dtype=np.int64)
-    requests: list[DecomposeRequest] = []
-    batched: list[tuple[np.ndarray, int]] = []  # (members, request index)
-    pieces: list[np.ndarray | None] = []  # members when trivial, else None
-    for piece in range(int(coarse.max()) + 1):
-        members = np.flatnonzero(coarse == piece).astype(VERTEX_DTYPE)
-        if members.size <= 1:
-            pieces.append(members)
-            continue
-        sub = induced_subgraph(graph, members)
-        piece_seed = derive_seed(
-            root_seed, "hierarchy", provider.graph_key(sub.graph)
+    fine = np.full(graph.num_vertices, -1, dtype=np.int64)
+    pieces = split_by_labels(graph, coarse)
+    requests = [
+        DecomposeRequest(
+            sub,
+            beta,
+            method=method,
+            seed=derive_seed(root_seed, "hierarchy", provider.graph_key(sub)),
+            options=options,
         )
-        batched.append((members, len(requests)))
-        pieces.append(None)
-        requests.append(
-            DecomposeRequest(
-                sub.graph, beta, method=method, seed=piece_seed,
-                options=options,
-            )
-        )
-    results = provider.decompose_batch(
-        requests, max_concurrent=max_concurrent
+        for _, sub in pieces
+        if sub is not None
+    ]
+    outcomes = iter(
+        provider.decompose_batch(requests, max_concurrent=max_concurrent)
     )
-    batch_iter = iter(batched)
     next_label = 0
-    for members in pieces:
-        if members is not None:  # trivial piece: its own one-vertex cluster
+    for members, sub in pieces:
+        if sub is None:  # trivial piece: its own one-vertex cluster
             if members.size:
                 fine[members] = next_label
                 next_label += 1
             continue
-        members, slot = next(batch_iter)
-        decomposition = results[slot].decomposition
+        decomposition = next(outcomes).decomposition
         fine[members] = decomposition.labels + next_label
         next_label += decomposition.num_pieces
     if np.any(fine < 0):

@@ -49,10 +49,12 @@ class CSRGraph:
     corrupting shared state between algorithm stages.
     """
 
-    # __weakref__ lets caches key metadata (e.g. the pipeline layer's
-    # content digests) on graph objects without pinning them in memory.
+    # _digest memoizes repro.serve.store.graph_digest on the graph itself
+    # (the arrays are read-only, so it never goes stale).  __weakref__ lets
+    # registries key metadata (e.g. a graph's backing) on graph objects
+    # without pinning them in memory.
     __slots__ = ("_indptr", "_indices", "_num_vertices", "_num_edges",
-                 "__weakref__")
+                 "_digest", "__weakref__")
 
     def __init__(
         self,
@@ -71,6 +73,7 @@ class CSRGraph:
         self._indices = indices
         self._num_vertices = int(indptr.shape[0] - 1)
         self._num_edges = int(indices.shape[0] // 2)
+        self._digest: str | None = None
 
     # ------------------------------------------------------------------
     # basic accessors

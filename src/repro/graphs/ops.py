@@ -2,7 +2,8 @@
 
 These are the structural operations the decomposition pipeline composes:
 induced subgraphs (verifying *strong* diameter requires the piece-induced
-subgraph), quotient/contraction (AKPW low-stretch trees contract pieces into
+subgraph; :func:`split_by_labels` carves every piece of a partition in one
+pass), quotient/contraction (AKPW low-stretch trees contract pieces into
 supervertices each round), and connected components (validity checks).
 """
 
@@ -19,6 +20,7 @@ from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
 __all__ = [
     "induced_subgraph",
     "SubgraphResult",
+    "split_by_labels",
     "connected_components",
     "num_components",
     "is_connected",
@@ -59,6 +61,65 @@ def induced_subgraph(graph: CSRGraph, vertices: np.ndarray) -> SubgraphResult:
     keep = (new_ids[src] >= 0) & (new_ids[dst] >= 0)
     sub = from_arcs(vertices.size, new_ids[src[keep]], new_ids[dst[keep]])
     return SubgraphResult(graph=sub, original_ids=vertices, new_ids=new_ids)
+
+
+def split_by_labels(
+    graph: CSRGraph, labels: np.ndarray
+) -> list[tuple[np.ndarray, CSRGraph | None]]:
+    """Induced subgraph of every label class, built in one pass.
+
+    Returns one ``(members, piece)`` pair per label ``0..k−1``, in label
+    order: ``members`` holds the class's vertex ids in ascending order and
+    ``piece`` is the subgraph they induce, with vertex ``i`` standing for
+    ``members[i]``.  Classes of at most one vertex get ``piece=None`` —
+    they have no arcs, and callers treat them locally.
+
+    Each piece is byte-identical to ``induced_subgraph(graph,
+    members).graph``, so its digest is too.  The cost is one stable
+    argsort of ``labels``, one filter keeping the arcs inside a class, and
+    one ``lexsort`` by (class, local source, local target): O(n + m log m)
+    for the whole partition, where a loop of :func:`induced_subgraph` calls
+    costs O(k · m).
+    """
+    labels = np.asarray(labels, dtype=VERTEX_DTYPE)
+    n = graph.num_vertices
+    if labels.shape != (n,):
+        raise GraphError("labels length must equal num_vertices")
+    if n and labels.min() < 0:
+        raise GraphError("labels must be non-negative")
+    k = int(labels.max()) + 1 if n else 0
+    order = np.argsort(labels, kind="stable")
+    bounds = np.zeros(k + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+    # local[v]: v's rank inside its class.  Members are ascending within a
+    # class (stable sort), exactly as induced_subgraph numbers them.
+    local = np.empty(n, dtype=VERTEX_DTYPE)
+    local[order] = np.arange(n, dtype=VERTEX_DTYPE) - np.repeat(
+        bounds[:-1], np.diff(bounds)
+    )
+    src = graph.arc_sources()
+    dst = graph.indices
+    keep = labels[src] == labels[dst]
+    src, dst = src[keep], dst[keep]
+    piece_of_arc = labels[src]
+    arc_order = np.lexsort((local[dst], local[src], piece_of_arc))
+    targets = local[dst][arc_order]
+    arc_bounds = np.zeros(k + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(np.bincount(piece_of_arc, minlength=k), out=arc_bounds[1:])
+    # In-class degree of every vertex, listed in (class, local id) order.
+    degrees = np.bincount(src, minlength=n).astype(VERTEX_DTYPE)[order]
+    pieces: list[tuple[np.ndarray, CSRGraph | None]] = []
+    for label in range(k):
+        lo, hi = int(bounds[label]), int(bounds[label + 1])
+        members = order[lo:hi]
+        if hi - lo <= 1:
+            pieces.append((members, None))
+            continue
+        indptr = np.zeros(hi - lo + 1, dtype=VERTEX_DTYPE)
+        np.cumsum(degrees[lo:hi], out=indptr[1:])
+        indices = targets[arc_bounds[label] : arc_bounds[label + 1]]
+        pieces.append((members, CSRGraph(indptr, indices)))
+    return pieces
 
 
 def connected_components(graph: CSRGraph) -> np.ndarray:

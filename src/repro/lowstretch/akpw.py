@@ -25,11 +25,11 @@ import numpy as np
 from repro.bfs.sequential import multi_source_bfs
 from repro.core.decomposition import Decomposition
 from repro.errors import GraphError, ParameterError
-from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
+from repro.graphs.csr import CSRGraph
 from repro.graphs.ops import (
     connected_components,
-    induced_subgraph,
     quotient_graph,
+    split_by_labels,
 )
 from repro.pipeline import DecomposeRequest, resolve_provider
 from repro.rng.seeding import (
@@ -193,31 +193,25 @@ def _decompose_level(
     # single-vertex components, overwritten for the decomposed ones.
     center = np.arange(cur.num_vertices, dtype=np.int64)
     hops = np.zeros(cur.num_vertices, dtype=np.int64)
-    requests: list[DecomposeRequest] = []
-    piece_members: list[np.ndarray] = []
-    order = np.argsort(labels, kind="stable")
-    bounds = np.searchsorted(labels[order], np.arange(num_components + 1))
-    for component in range(num_components):
-        members = order[bounds[component]:bounds[component + 1]]
-        if members.size <= 1:
-            continue
-        sub = induced_subgraph(cur, members)
-        requests.append(
-            DecomposeRequest(
-                sub.graph,
-                beta,
-                method=method,
-                seed=derive_seed(
-                    root_seed, "akpw", provider.graph_key(sub.graph)
-                ),
-                options=options,
-            )
+    nontrivial = [
+        (members, sub)
+        for members, sub in split_by_labels(cur, labels)
+        if sub is not None
+    ]
+    requests = [
+        DecomposeRequest(
+            sub,
+            beta,
+            method=method,
+            seed=derive_seed(root_seed, "akpw", provider.graph_key(sub)),
+            options=options,
         )
-        piece_members.append(members)
+        for _, sub in nontrivial
+    ]
     results = provider.decompose_batch(
         requests, max_concurrent=max_concurrent
     )
-    for members, result in zip(piece_members, results):
+    for (members, _), result in zip(nontrivial, results):
         sub_dec = result.decomposition
         center[members] = members[sub_dec.center]
         hops[members] = sub_dec.hops

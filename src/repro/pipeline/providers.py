@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-import weakref
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -151,15 +150,6 @@ class DecompositionProvider:
     ) -> None:
         self._memo = memo if memo is not None else ResultCache(int(memo_bytes))
         self._inline_cutoff = int(inline_cutoff)
-        self._digest_lock = threading.Lock()
-        # id(graph) -> (weakref(graph), digest): graphs are immutable, so
-        # a digest is computed once per live object.  Weak references keep
-        # the cache from pinning graphs the caller has dropped (important
-        # for the process-wide default provider); a dead or recycled id is
-        # detected by the identity check on lookup.  Bounded below.
-        self._digest_cache: OrderedDict[
-            int, tuple[weakref.ref, str]
-        ] = OrderedDict()
         self._requests = 0
         self._memo_hits = 0
         self._inline_runs = 0
@@ -364,28 +354,12 @@ class DecompositionProvider:
     def graph_key(self, graph: CSRGraph) -> str:
         """The content digest keying ``graph`` across every backend.
 
-        Cached per graph object (graphs are immutable); the digest is the
-        same :func:`repro.serve.store.graph_digest` the serve layer's
-        content-addressed store uses, so a provider-side key and a
-        server-side upload agree byte for byte.
+        This is :func:`repro.serve.store.graph_digest` — the key the serve
+        layer's content-addressed store uses, so a provider-side key and a
+        server-side upload agree byte for byte.  The graph memoizes its own
+        digest, so repeat lookups hash nothing.
         """
-        with self._digest_lock:
-            hit = self._digest_cache.get(id(graph))
-            if hit is not None and hit[0]() is graph:
-                self._digest_cache.move_to_end(id(graph))
-                return hit[1]
-        digest = graph_digest(graph)
-        with self._digest_lock:
-            self._digest_cache[id(graph)] = (weakref.ref(graph), digest)
-            # Drop dead entries first, then bound the live ones.
-            for key in [
-                k for k, (ref, _) in self._digest_cache.items()
-                if ref() is None
-            ]:
-                del self._digest_cache[key]
-            while len(self._digest_cache) > 256:
-                self._digest_cache.popitem(last=False)
-        return digest
+        return graph_digest(graph)
 
     def stats(self) -> dict:
         """Request/memo counters plus the backend's own numbers."""

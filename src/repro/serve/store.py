@@ -32,11 +32,18 @@ def graph_digest(graph: CSRGraph) -> str:
     ``csr_arrays()`` transport contract (name, dtype, shape, raw bytes), so
     a weighted graph never collides with its unweighted topology and any
     bit flip in ``indptr``/``indices``/``weights`` changes the digest.
+
+    The digest is computed once per graph object and memoized on it —
+    its arrays are read-only, so a repeat call hashes nothing.
     """
     if not isinstance(graph, CSRGraph):
         raise ParameterError(
             f"expected a CSRGraph, got {type(graph).__name__}"
         )
+    # getattr: an unpickled graph skips __init__ and may lack the slot.
+    digest = getattr(graph, "_digest", None)
+    if digest is not None:
+        return digest
     sha = hashlib.sha256()
     sha.update(type(graph).__name__.encode("utf-8"))
     for name, arr in sorted(graph.csr_arrays().items()):
@@ -46,7 +53,8 @@ def graph_digest(graph: CSRGraph) -> str:
         sha.update(canonical.dtype.str.encode("ascii"))
         sha.update(repr(tuple(arr.shape)).encode("ascii"))
         _hash_array_bytes(sha, canonical)
-    return sha.hexdigest()
+    graph._digest = digest = sha.hexdigest()
+    return digest
 
 
 #: Digest streaming granularity: big enough to amortise call overhead,

@@ -6,7 +6,9 @@ charged (an extra gather counted, a round miscounted, a changed shift
 stream) invalidates recorded experiment tables without failing any
 behavioural test.  This module pins the exact trace counters — plus the
 headline decomposition statistics and the ``δ_max`` certificate — for
-fixed (graph, seed, method) triples covering every registered method.
+fixed (graph, seed, method) triples covering every registered method, and
+SHA-256 digests of the applications built on top of them: hierarchy label
+stacks (top-down and contracted) and an AKPW spanning forest.
 
 The integer pins are exact: all randomness flows through ``numpy``'s
 seeded Philox/SFC streams, which are bit-stable across platforms and the
@@ -20,13 +22,21 @@ the pin.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from repro.core.engine import decompose
+from repro.embeddings.hierarchy import (
+    contracted_hierarchy,
+    hierarchical_decomposition,
+)
 from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
+from repro.graphs.ops import num_components
 from repro.graphs.weighted import weights_by_name
+from repro.lowstretch.akpw import akpw_spanning_tree
 
 
 def _graphs():
@@ -133,3 +143,73 @@ def test_golden_covers_every_registered_method():
     # Alias methods (pinned options over the same callable) count through
     # their own registry name, so coverage is literal.
     assert set(method_names()) <= pinned | {"auto"}
+
+
+# ----------------------------------------------------------------------
+# application pins: hierarchy label stacks and AKPW forests
+# ----------------------------------------------------------------------
+# The applications stack many decompositions, each seeded by its piece's
+# content digest, so a change in how a level is split into pieces (piece
+# order, piece CSR bytes, hence digests and sub-seeds) shows up here even
+# when every single-decomposition pin above still holds.
+
+
+def _label_stack_digest(hierarchy) -> str:
+    sha = hashlib.sha256()
+    for level in hierarchy.labels:
+        sha.update(np.ascontiguousarray(level, dtype="<i8").tobytes())
+    return sha.hexdigest()
+
+
+def _app_graphs():
+    return {
+        "grid30x30": grid_2d(30, 30),
+        "er300": erdos_renyi(300, 0.02, seed=4),
+    }
+
+
+#: (graph key, seed) -> (levels, sha256 of the label stack).
+GOLDEN_HIERARCHY = {
+    ("grid30x30", 1): (
+        11, "babf3732f90ac22e293875848c7a5cece103718cbd4297566f5539aa0bc8f34c"
+    ),
+    ("grid30x30", 2): (
+        11, "06478b82030562ed2c06a286c3091bff0e1b6731b0e9c486de4e9d6e37372677"
+    ),
+    ("er300", 1): (
+        10, "764569195a2a337166ebfe0829f09ff6bf4015389f0f72f49ec55362017efb2c"
+    ),
+    ("er300", 2): (
+        10, "8c3ddef185b199ba28c06f81dc61a9f44992a4ac56d5725a65345efa5900e4e9"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", sorted(GOLDEN_HIERARCHY), ids=lambda c: f"{c[0]}-s{c[1]}"
+)
+def test_golden_hierarchy_labels(case):
+    graph_key, seed = case
+    levels, digest = GOLDEN_HIERARCHY[case]
+    hierarchy = hierarchical_decomposition(_app_graphs()[graph_key], seed=seed)
+    assert hierarchy.num_levels == levels
+    assert _label_stack_digest(hierarchy) == digest
+
+
+def test_golden_contracted_hierarchy_labels():
+    hierarchy = contracted_hierarchy(grid_2d(30, 30), seed=3)
+    assert hierarchy.num_levels == 11
+    assert _label_stack_digest(hierarchy) == (
+        "cc6501dae4f69173b39b22aa230bd37beae028c08c11e6fd3190e23528187481"
+    )
+
+
+def test_golden_akpw_parents_on_a_disconnected_graph():
+    graph = erdos_renyi(400, 0.004, seed=6)
+    assert num_components(graph) == 91  # a giant component plus many small
+    result = akpw_spanning_tree(graph, beta=0.5, seed=7)
+    assert result.num_levels == 4
+    parent = np.ascontiguousarray(result.forest.parent, dtype="<i8")
+    assert hashlib.sha256(parent.tobytes()).hexdigest() == (
+        "34b097a1cd6a8438d72fa4f0823467d5cfa3983d3247a373a2b0c16712004d24"
+    )

@@ -23,7 +23,9 @@ from repro.graphs.ops import (
     is_connected,
     num_components,
     quotient_graph,
+    split_by_labels,
 )
+from repro.serve.store import graph_digest
 
 
 class TestInducedSubgraph:
@@ -61,6 +63,85 @@ class TestInducedSubgraph:
         g = path_graph(5)
         sub = induced_subgraph(g, np.asarray([0, 2, 4]))
         assert sub.graph.num_edges == 0
+
+
+def _assert_split_matches_induced(graph, labels):
+    """Every piece of split_by_labels is induced_subgraph, byte for byte."""
+    labels = np.asarray(labels, dtype=np.int64)
+    pieces = split_by_labels(graph, labels)
+    assert len(pieces) == int(labels.max()) + 1
+    for label, (members, piece) in enumerate(pieces):
+        np.testing.assert_array_equal(members, np.flatnonzero(labels == label))
+        if members.size <= 1:
+            assert piece is None
+            continue
+        ref = induced_subgraph(graph, members).graph
+        assert type(piece) is CSRGraph
+        assert piece.indptr.tobytes() == ref.indptr.tobytes()
+        assert piece.indices.tobytes() == ref.indices.tobytes()
+        assert graph_digest(piece) == graph_digest(ref)
+    return pieces
+
+
+class TestSplitByLabels:
+    def test_grid_quadrants(self):
+        g = grid_2d(6, 6)
+        rows, cols = np.divmod(np.arange(36), 6)
+        labels = (rows >= 3) * 2 + (cols >= 3)
+        pieces = _assert_split_matches_induced(g, labels)
+        assert [p.num_edges for _, p in pieces] == [12] * 4  # 3x3 grids
+
+    def test_unsorted_neighbour_lists(self):
+        """Piece rows come out sorted even when the input's are not, as
+        induced_subgraph's do."""
+        g = grid_2d(6, 7)
+        rows = [g.neighbors(v)[::-1] for v in range(g.num_vertices)]
+        shuffled = CSRGraph(g.indptr, np.concatenate(rows))
+        assert not np.array_equal(shuffled.indices, g.indices)
+        labels = np.random.default_rng(3).integers(0, 4, g.num_vertices)
+        pieces = _assert_split_matches_induced(shuffled, labels)
+        for (_, a), (_, b) in zip(pieces, split_by_labels(g, labels)):
+            assert graph_digest(a) == graph_digest(b)
+
+    def test_isolated_vertices(self):
+        # 0-1-2 path, isolated 3 and 4, edge 5-6; {3, 4} share a label.
+        g = from_edges(7, [(0, 1), (1, 2), (5, 6)])
+        labels = np.asarray([0, 0, 0, 1, 1, 2, 3])
+        pieces = _assert_split_matches_induced(g, labels)
+        members, piece = pieces[1]
+        np.testing.assert_array_equal(members, [3, 4])
+        assert piece.num_vertices == 2 and piece.num_edges == 0
+        assert pieces[3][1] is None  # a single vertex gets no graph
+
+    def test_piece_disconnected_inside(self):
+        g = path_graph(6)
+        labels = np.asarray([0, 0, 1, 1, 0, 0])  # {0,1,4,5}: two halves
+        pieces = _assert_split_matches_induced(g, labels)
+        piece = pieces[0][1]
+        assert piece.num_vertices == 4 and piece.num_edges == 2
+        assert num_components(piece) == 2
+
+    def test_single_label_class(self):
+        g = cycle_graph(9)
+        ((members, piece),) = _assert_split_matches_induced(
+            g, np.zeros(9, dtype=np.int64)
+        )
+        np.testing.assert_array_equal(members, np.arange(9))
+        assert piece == g
+
+    def test_empty_label_class(self):
+        g = path_graph(4)
+        pieces = split_by_labels(g, np.asarray([0, 0, 2, 2]))
+        assert pieces[1][0].size == 0 and pieces[1][1] is None
+
+    def test_label_validation(self):
+        with pytest.raises(GraphError, match="length"):
+            split_by_labels(path_graph(3), np.zeros(2, dtype=np.int64))
+        with pytest.raises(GraphError, match="non-negative"):
+            split_by_labels(path_graph(3), np.asarray([0, -1, 0]))
+
+    def test_empty_graph(self):
+        assert split_by_labels(from_edges(0, []), np.zeros(0)) == []
 
 
 class TestConnectedComponents:

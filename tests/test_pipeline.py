@@ -216,6 +216,37 @@ class TestProviderSemantics:
         # Cached second lookup returns the same digest.
         assert provider.graph_key(GRAPH) == graph_digest(GRAPH)
 
+    def test_digest_is_hashed_once_per_graph_object(self, monkeypatch):
+        import pickle
+
+        from repro.serve import store
+
+        hashed = []
+        real = store._hash_array_bytes
+
+        def counting(sha, arr):
+            hashed.append(arr.nbytes)
+            real(sha, arr)
+
+        monkeypatch.setattr(store, "_hash_array_bytes", counting)
+        provider = EngineProvider()
+        graph = grid_2d(9, 7)
+        digest = store.graph_digest(graph)
+        assert len(hashed) == 2  # indptr and indices
+        assert provider.graph_key(graph) == digest
+        assert store.graph_digest(graph) == digest
+        assert provider.graph_key(graph) == digest
+        assert len(hashed) == 2, "a repeat lookup hashed the graph again"
+        # An equal-content object is hashed on its own and keys equally.
+        twin = grid_2d(9, 7)
+        assert provider.graph_key(twin) == digest
+        assert len(hashed) == 4
+        # A graph unpickled without the memo slot set digests afresh.
+        clone = pickle.loads(pickle.dumps(grid_2d(9, 7)))
+        del clone._digest
+        assert store.graph_digest(clone) == digest
+        assert len(hashed) == 6
+
     def test_pool_provider_bounds_resident_graphs(self):
         with PoolProvider(max_workers=1, max_resident_graphs=2) as provider:
             graphs = [grid_2d(4 + i, 4) for i in range(4)]

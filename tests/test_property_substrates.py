@@ -11,15 +11,18 @@ from repro.bfs.direction import direction_optimizing_bfs
 from repro.bfs.frontier import frontier_bfs
 from repro.bfs.sequential import bfs, multi_source_bfs
 from repro.graphs.build import from_edges
+from repro.graphs.csr import CSRGraph
 from repro.graphs.io import from_json, to_json
 from repro.graphs.ops import (
     connected_components,
     count_cut_edges,
     induced_subgraph,
     quotient_graph,
+    split_by_labels,
 )
 from repro.pram.cost_model import WorkDepthCounter
 from repro.pram.primitives import par_pack, par_scan
+from repro.serve.store import graph_digest
 from repro.trees.lca import LCAIndex
 from repro.trees.structure import RootedForest
 
@@ -90,6 +93,32 @@ def test_induced_subgraph_preserves_adjacency(graph, seed):
         assert graph.has_edge(
             int(sub.original_ids[u]), int(sub.original_ids[v])
         )
+
+
+@COMMON
+@given(random_graphs(min_vertices=1), st.integers(0, 100), st.booleans())
+def test_split_by_labels_pieces_are_induced_subgraphs(graph, seed, reverse):
+    """Each piece is byte-identical to induced_subgraph of its members —
+    whatever the label classes look like (isolated vertices, pieces
+    disconnected inside, one class) and whether or not the input's
+    neighbour lists are sorted."""
+    if reverse:
+        rows = [graph.neighbors(v)[::-1] for v in range(graph.num_vertices)]
+        graph = CSRGraph(graph.indptr, np.concatenate(rows))
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, graph.num_vertices + 1))
+    labels = rng.integers(0, k, size=graph.num_vertices)
+    pieces = split_by_labels(graph, labels)
+    assert len(pieces) == int(labels.max()) + 1
+    for label, (members, piece) in enumerate(pieces):
+        np.testing.assert_array_equal(members, np.flatnonzero(labels == label))
+        if members.size <= 1:
+            assert piece is None
+            continue
+        ref = induced_subgraph(graph, members).graph
+        assert piece.indptr.tobytes() == ref.indptr.tobytes()
+        assert piece.indices.tobytes() == ref.indices.tobytes()
+        assert graph_digest(piece) == graph_digest(ref)
 
 
 @COMMON
