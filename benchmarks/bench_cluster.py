@@ -1,4 +1,4 @@
-"""Experiment CL — aggregate cluster throughput and v2 wire efficiency.
+"""Experiment CL — aggregate cluster throughput and upload wire efficiency.
 
 The scaling claim behind `repro.cluster`: because decompositions are
 derandomized and content-addressed, a consistent-hash cluster of N shard
@@ -28,11 +28,14 @@ has at least ``MIN_CORES_FOR_FLOOR`` cores; below that the measured
 speedup is emitted (stdout + ``BENCH_cluster.json``) with the core count,
 not asserted.
 
-The second phase measures the protocol-v2 upload framing against v1 on a
->= 100k-edge graph: raw little-endian buffers (with transport-side integer
-downcasting) versus base64 JSON.  Full mode asserts v2 <= 0.8x the v1
-frame bytes.  ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``) shrinks the
-workload to a seconds-fast in-process path-exercise and skips the floors.
+The second phase (CL-WIRE) compares the two upload encodings on a
+>= 100k-edge graph: the binary upload frame (raw little-endian buffers
+with transport-side integer downcasting) against the JSON text upload of
+the same graph.  Full mode asserts binary <= 0.8x the text frame bytes.
+It also reports the binary frame's bytes over the compacted arrays'
+bytes — the framing overhead.  ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``)
+shrinks the workload to a seconds-fast in-process path-exercise and
+skips the floors.
 """
 
 from __future__ import annotations
@@ -48,10 +51,11 @@ from pathlib import Path
 import repro
 from repro.cluster import cluster_background
 from repro.graphs.generators import erdos_renyi
+from repro.graphs.io import to_json
 from repro.serve import ServeClient, graph_digest, serve_background
 from repro.serve.aio_client import AsyncServeClient
 from repro.serve.client import graph_upload_message
-from repro.serve.protocol import encode_frame
+from repro.serve.protocol import compact_arrays, encode_frame
 
 from common import Table, bench_scale, emit_bench_json
 
@@ -403,33 +407,46 @@ def test_cluster_throughput():
 
 
 def test_upload_wire_bytes():
-    """v2 binary upload framing vs v1 base64 JSON on one large graph."""
+    """Binary upload framing vs the JSON text upload on one large graph."""
     if _smoke():
         graph = erdos_renyi(300, 0.2, seed=9)
     else:
         scale = bench_scale()
         graph = erdos_renyi(800 * scale, 0.4 / scale, seed=9)
 
-    v1_bytes = len(encode_frame(graph_upload_message(graph, 1), 1))
-    v2_bytes = len(encode_frame(graph_upload_message(graph, 2), 2))
-    ratio = v2_bytes / v1_bytes
+    text_bytes = len(
+        encode_frame(
+            {"op": "upload", "format": "json", "payload": to_json(graph)}
+        )
+    )
+    binary_bytes = len(encode_frame(graph_upload_message(graph)))
+    array_bytes = sum(
+        arr.nbytes for arr in compact_arrays(graph.csr_arrays()).values()
+    )
+    ratio = binary_bytes / text_bytes
 
     table = Table(
         f"CL-WIRE: upload frame bytes, n={graph.num_vertices} "
         f"m={graph.num_edges}",
-        ["protocol", "frame_bytes", "vs_v1"],
+        ["upload", "frame_bytes", "vs_text"],
     )
-    table.add("v1 (base64 JSON)", v1_bytes, 1.0)
-    table.add("v2 (binary)", v2_bytes, ratio)
+    table.add("text (JSON payload)", text_bytes, 1.0)
+    table.add("binary (CSR arrays)", binary_bytes, ratio)
     table.show()
+    print(
+        f"binary frame / compacted array bytes = "
+        f"{binary_bytes / array_bytes:.4f}"
+    )
 
     emit_bench_json(
         "cluster",
         {
             "upload_wire": {
-                "v1_frame_bytes": v1_bytes,
-                "v2_frame_bytes": v2_bytes,
-                "v2_over_v1": ratio,
+                "text_frame_bytes": text_bytes,
+                "binary_frame_bytes": binary_bytes,
+                "binary_over_text": ratio,
+                "compact_array_bytes": array_bytes,
+                "binary_over_arrays": binary_bytes / array_bytes,
                 "num_edges": graph.num_edges,
                 "smoke": _smoke(),
             }
@@ -439,8 +456,8 @@ def test_upload_wire_bytes():
     if not _smoke():
         assert graph.num_edges >= 100_000
         assert ratio <= 0.8, (
-            f"v2 upload frames are {ratio:.2f}x v1 — the binary framing "
-            "should cut at least 20% off upload bytes"
+            f"binary upload frames are {ratio:.2f}x the text upload — the "
+            "binary framing should cut at least 20% off upload bytes"
         )
 
 

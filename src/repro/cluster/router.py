@@ -1,15 +1,15 @@
 """`ClusterRouter` — the front process of a sharded decomposition cluster.
 
 The router speaks the same frame protocol as a
-:class:`~repro.serve.server.DecompositionServer` (both generations, same
-pipelined ``id`` semantics), so every existing client — ``ServeClient``,
+:class:`~repro.serve.server.DecompositionServer` (same pipelined ``id``
+semantics), so every existing client — ``ServeClient``,
 ``AsyncServeClient``, ``ServeProvider`` — works against it unchanged.
 Behind it, N independent shard servers each own a slice of the content
 digest space:
 
 - **uploads** are parsed (or built from binary arrays) and hashed
   router-side — the digest *is* the routing key — then forwarded to the
-  owning shard as a binary v2 upload;
+  owning shard as a binary upload;
 - **graph-keyed ops** (``decompose``/``spanner``/``lowstretch_tree``/
   ``hierarchy``/``discard``) go straight to the digest's owner, which
   holds the graph and every memoized result for it; a request may carry
@@ -26,15 +26,14 @@ relay span id (the shard's server span parents to it), and the finished
 ``router.relay`` span record joins the response's ``spans`` list during
 the same header-only restamp — the binary tail is still never decoded.
 
-Forwarding has two planes.  Digest-keyed graph ops whose frame
-generation matches the shard's ride a per-shard relay channel
-(:class:`_RelayChannel`): the router peeks only the JSON header, swaps
-the frame ``id``, and splices the body through verbatim — no task, no
-future, and no array ever materialises router-side.  Everything needing
-real control flow (uploads, fan-outs, upload-on-miss replays,
-cross-generation clients, a channel that is down) takes the task-based
-control plane over per-shard :class:`AsyncServeClient` pools.  Both
-planes produce identical answers; only speed differs.
+Forwarding has two planes.  Digest-keyed graph ops ride a per-shard
+relay channel (:class:`_RelayChannel`): the router peeks only the JSON
+header, swaps the frame ``id``, and splices the body through verbatim —
+no task, no future, and no array ever materialises router-side.
+Everything needing real control flow (uploads, fan-outs, upload-on-miss
+replays, a channel that is down) takes the task-based control plane over
+per-shard :class:`AsyncServeClient` pools.  Both planes produce identical
+answers; only speed differs.
 
 The ring is never mutated at runtime: a dead shard's requests come back
 as error frames naming the shard (``shard host:port unreachable``) while
@@ -57,12 +56,12 @@ from repro._version import __version__
 from repro.errors import ParameterError, ReproError, ServeError
 from repro.cluster.hash_ring import DEFAULT_REPLICAS, HashRing
 from repro.serve.aio_client import AsyncServeClient
-from repro.serve.client import check_response, negotiated_protocol
+from repro.serve.client import graph_upload_message
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_frame_payload,
     encode_frame,
-    frame_protocol,
+    framing_error_frame,
     parse_frame_length,
     peek_frame_fields,
     restamp_frame,
@@ -157,10 +156,10 @@ class _RelayChannel:
     relayed request the router spends two small JSON header rewrites and
     one tail splice; no task, no future, and no array ever materialises.
 
-    Anything that needs real control flow — inline-graph replay,
-    cross-generation clients, a channel that is down — stays on the
-    task-based path (:meth:`ClusterRouter._route_graph_op`), so the two
-    planes answer identically and only speed differs.
+    Anything that needs real control flow — inline-graph replay, a
+    channel that is down — stays on the task-based path
+    (:meth:`ClusterRouter._route_graph_op`), so the two planes answer
+    identically and only speed differs.
     """
 
     def __init__(self, router: "ClusterRouter", label: str, host, port) -> None:
@@ -170,7 +169,6 @@ class _RelayChannel:
         self._timeout = router._timeout
         self._reader = None
         self._writer = None
-        self.protocol: int | None = None
         self._pending: dict[int, tuple] = {}
         self._next_id = 0
         self._read_task: asyncio.Task | None = None
@@ -209,32 +207,10 @@ class _RelayChannel:
             self._connecting = False
             self._retry_at = self._router._loop.time() + _RELAY_RETRY
             return
-        try:
-            writer.write(encode_frame({"op": "hello"}, 1))
-            await writer.drain()
-            header = await asyncio.wait_for(
-                reader.readexactly(4), self._timeout
-            )
-            body = await reader.readexactly(parse_frame_length(header))
-            hello = check_response(decode_frame_payload(body))
-        except (
-            OSError,
-            ServeError,
-            asyncio.TimeoutError,
-            asyncio.IncompleteReadError,
-        ):
-            writer.close()
-            self._connecting = False
-            self._retry_at = self._router._loop.time() + _RELAY_RETRY
-            return
         self._reader = reader
         self._writer = writer
-        self.protocol = negotiated_protocol(hello, PROTOCOL_VERSION)
         self._connecting = False
-        logger.debug(
-            "relay channel to shard %s up (protocol v%d)",
-            self._label, self.protocol,
-        )
+        logger.debug("relay channel to shard %s up", self._label)
         self._read_task = self._router._loop.create_task(self._read_loop())
 
     def submit(self, body: bytes, fields: dict, client_writer) -> bool:
@@ -285,7 +261,7 @@ class _RelayChannel:
         }
         if orig_id is not _NO_ID:
             fields["id"] = orig_id
-        return encode_frame(fields, self.protocol or 1)
+        return encode_frame(fields)
 
     def _expire(self, relay_id: int) -> None:
         entry = self._pending.pop(relay_id, None)
@@ -358,7 +334,6 @@ class _RelayChannel:
         pending, self._pending = self._pending, {}
         writer, self._writer = self._writer, None
         self._reader = None
-        self.protocol = None
         self._retry_at = self._router._loop.time() + _RELAY_RETRY
         for client_writer, orig_id, _op, timer, *_rest in pending.values():
             timer.cancel()
@@ -586,15 +561,15 @@ class ClusterRouter:
         write_lock = asyncio.Lock()
         request_tasks: set[asyncio.Task] = set()
 
-        async def _respond(message: dict, protocol: int) -> None:
-            response = await self._dispatch(message, protocol)
+        async def _respond(message: dict) -> None:
+            response = await self._dispatch(message)
             if isinstance(response, (bytes, bytearray)):
                 frame = bytes(response)  # pre-framed raw relay
             else:
                 if "id" in message:
                     response["id"] = message["id"]
                 try:
-                    frame = encode_frame(response, protocol)
+                    frame = encode_frame(response)
                 except ServeError as exc:  # oversized response
                     frame = encode_frame(
                         {
@@ -606,8 +581,7 @@ class ClusterRouter:
                                 if "id" in message
                                 else {}
                             ),
-                        },
-                        protocol,
+                        }
                     )
             try:
                 async with write_lock:
@@ -618,22 +592,18 @@ class ClusterRouter:
 
         try:
             while True:
+                body = None
                 try:
                     header = await reader.readexactly(4)
                     length = parse_frame_length(header)
                     body = await reader.readexactly(length)
                     self._touch()
-                    protocol = frame_protocol(body)
                     fields = peek_frame_fields(body)
                 except asyncio.IncompleteReadError:
                     return
                 except ServeError as exc:
                     async with write_lock:
-                        writer.write(encode_frame({
-                            "ok": False,
-                            "error": "ServeError",
-                            "message": str(exc),
-                        }))
+                        writer.write(framing_error_frame(str(exc), body))
                         await writer.drain()
                     return
                 # Data plane: a graph op keyed by digest alone rides the
@@ -646,29 +616,21 @@ class ClusterRouter:
                 )
                 if relay_key is not None:
                     channel = self._relays[self._ring.owner(relay_key)]
-                    if channel.protocol == protocol and channel.submit(
-                        body, fields, writer
-                    ):
+                    if channel.submit(body, fields, writer):
                         self._requests_total += 1
                         self._forwarded += 1
                         continue
-                    # Channel down or cross-generation: reconnect in the
-                    # background, answer this request on the task path.
+                    # Channel down: reconnect in the background, answer
+                    # this request on the task path.
                     channel.ensure()
                 try:
                     message = decode_frame_payload(body)
                 except ServeError as exc:
                     async with write_lock:
-                        writer.write(encode_frame({
-                            "ok": False,
-                            "error": "ServeError",
-                            "message": str(exc),
-                        }))
+                        writer.write(framing_error_frame(str(exc)))
                         await writer.drain()
                     return
-                request = self._loop.create_task(
-                    _respond(message, protocol)
-                )
+                request = self._loop.create_task(_respond(message))
                 for registry in (request_tasks, self._conn_tasks):
                     registry.add(request)
                     request.add_done_callback(registry.discard)
@@ -684,14 +646,12 @@ class ClusterRouter:
             except (ConnectionError, asyncio.CancelledError):
                 pass
 
-    async def _dispatch(
-        self, message: dict, protocol: int
-    ) -> dict | bytes:
+    async def _dispatch(self, message: dict) -> dict | bytes:
         self._requests_total += 1
         op = message.get("op")
         try:
             if op in _GRAPH_OPS:
-                return await self._route_graph_op(message, protocol)
+                return await self._route_graph_op(message)
             handler = self._OPS.get(op)
             if handler is None:
                 raise ParameterError(
@@ -776,9 +736,7 @@ class ClusterRouter:
                 None,
             )
 
-    async def _route_graph_op(
-        self, message: dict, client_protocol: int
-    ) -> dict | bytes:
+    async def _route_graph_op(self, message: dict) -> dict | bytes:
         digest = _routing_digest(message)
         if digest is None:
             raise ParameterError(
@@ -834,35 +792,21 @@ class ClusterRouter:
                 trace_ctx, relay_span_id, message.get("op"), label,
                 "task", wall, dur_s,
             )
-        if body is not None and frame_protocol(body) == client_protocol:
-            # Fast path: same generation on both hops, so the shard's
-            # frame is spliced through with only its header restamped —
-            # the binary tail is never decoded, copied once, and the
-            # arrays never materialise router-side.
-            updates: dict = {
-                "id": message["id"] if "id" in message else None
-            }
-            if fields.get("ok") and "shard" not in fields:
-                updates["shard"] = label
+        if body is None:
+            # Transport failure: the error fields name the shard.
+            response = dict(fields)
             if relay_span is not None:
-                updates["spans"] = (
-                    list(fields.get("spans") or ()) + [relay_span]
-                )
-            return restamp_frame(body, updates)
-        # Transport failure (no body) or a cross-generation client:
-        # decode fully and let encode_frame transcode the arrays.
-        response = (
-            dict(fields) if body is None else decode_frame_payload(body)
-        )
-        response.pop("id", None)
-        if response.get("ok") and "shard" not in response:
-            response = {**response, "shard": label}
+                response["spans"] = [relay_span]
+            return response
+        # The shard's frame is spliced through with only its header
+        # restamped — the binary tail is never decoded, copied once, and
+        # the arrays never materialise router-side.
+        updates: dict = {"id": message["id"] if "id" in message else None}
+        if fields.get("ok") and "shard" not in fields:
+            updates["shard"] = label
         if relay_span is not None:
-            response = {
-                **response,
-                "spans": list(response.get("spans") or ()) + [relay_span],
-            }
-        return response
+            updates["spans"] = list(fields.get("spans") or ()) + [relay_span]
+        return restamp_frame(body, updates)
 
     # ------------------------------------------------------------------
     # operations
@@ -901,14 +845,16 @@ class ClusterRouter:
         # The digest is the routing key, so the router must parse/build
         # and hash the graph itself (off-loop — uploads are the heavy
         # frames) before it can pick the owner.  The forward is always a
-        # binary v2 upload: the graph is already in memory as arrays.
+        # binary upload: the graph is already in memory as arrays.
         build = upload_builder(
             {k: v for k, v in message.items() if k != "id"}
         )
         graph, digest = await self._loop.run_in_executor(None, build)
         label = self._ring.owner(digest)
         try:
-            response = await self._clients[label].upload_graph(graph)
+            response = await self._clients[label].call(
+                graph_upload_message(graph)
+            )
         except ServeError as exc:
             self._shard_errors += 1
             return {

@@ -712,8 +712,6 @@ class ServeProvider(DecompositionProvider):
                     self._own_uploads.move_to_end(digest)
                 return
         try:
-            # Binary arrays against a v2 server/router, JSON text against
-            # v1 — the client negotiated; the digest is format-neutral.
             response = self._client.upload_graph(graph)
         except BaseException:
             self._release_upload(digest)

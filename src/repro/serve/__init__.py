@@ -8,8 +8,8 @@ results (decompositions are derandomized, so a warm hit is byte-identical
 to a cold computation) and coalesces concurrent duplicates into one pool
 execution.
 
-- :mod:`repro.serve.protocol` — length-prefixed JSON frames, array codec,
-  canonical cache keys;
+- :mod:`repro.serve.protocol` — length-prefixed frames (JSON header plus
+  a binary array tail), canonical cache keys;
 - :mod:`repro.serve.store` — :class:`GraphStore`, content addressing by
   :func:`graph_digest`;
 - :mod:`repro.serve.cache` — :class:`ResultCache`, byte-budgeted LRU with
@@ -39,8 +39,6 @@ from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     canonical_cache_key,
-    decode_array,
-    encode_array,
 )
 from repro.serve.server import DecompositionServer, serve_background
 from repro.serve.store import GraphStore, graph_digest
@@ -58,8 +56,6 @@ __all__ = [
     "graph_digest",
     "ResultCache",
     "canonical_cache_key",
-    "encode_array",
-    "decode_array",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",
 ]

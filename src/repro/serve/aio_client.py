@@ -13,12 +13,11 @@ points:
   each call rides the least-loaded one, so a slow cold decomposition
   never blocks a stream of warm cache hits behind it.
 
-Protocol negotiation is eager and per-connection: the first frame on a
-new connection is a v1 ``hello``, after which the connection speaks the
-highest generation both sides support (binary v2 against current
-servers).  The operation surface mirrors the sync client —
-``upload`` / ``decompose`` / ``spanner`` / ``lowstretch_tree`` /
-``hierarchy`` / ``stats`` — returning the same result dataclasses, so
+The single-request operations — ``upload`` / ``decompose`` /
+``spanner`` / ``lowstretch_tree`` / ``hierarchy`` / ``stats`` / … — are
+the sync client's own, inherited from
+:class:`~repro.serve.client.ServeOps`; here ``_request`` is a coroutine,
+so each op returns an awaitable of the same result dataclass, and
 conformance checks (`result_digest()`) are interchangeable across
 clients.
 
@@ -33,25 +32,10 @@ from __future__ import annotations
 import asyncio
 
 from repro.errors import ParameterError, ServeError
-from repro.graphs.csr import CSRGraph
-from repro.serve.client import (
-    ServeHierarchyResult,
-    ServeResult,
-    ServeSpannerResult,
-    ServeTreeResult,
-    check_response,
-    graph_upload_message,
-    hierarchy_from_response,
-    negotiated_protocol,
-    result_from_response,
-    spanner_from_response,
-    tree_from_response,
-)
+from repro.serve.client import ServeOps, check_response
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
-    encode_frame,
-    frame_protocol,
     decode_frame_payload,
+    encode_frame,
     parse_frame_length,
     peek_frame_fields,
 )
@@ -63,11 +47,9 @@ __all__ = ["AsyncServeClient"]
 class _Connection:
     """One pipelined connection: id-keyed futures fed by a reader task."""
 
-    def __init__(self, reader, writer, protocol: int, hello: dict) -> None:
+    def __init__(self, reader, writer) -> None:
         self._reader = reader
         self._writer = writer
-        self.protocol = protocol
-        self.hello = hello
         self._pending: dict[int, asyncio.Future] = {}
         #: armed per-request timeout timers, keyed like ``_pending`` — so
         #: teardown can disarm them instead of leaving callbacks scheduled
@@ -89,7 +71,6 @@ class _Connection:
         *,
         timeout: float,
         connect_window: float,
-        max_protocol: int,
     ) -> "_Connection":
         loop = asyncio.get_running_loop()
         deadline = loop.time() + max(0.0, float(connect_window))
@@ -109,34 +90,7 @@ class _Connection:
                     ) from None
                 await asyncio.sleep(min(delay, remaining))
                 delay = min(delay * 2, 0.8)
-        # Negotiate before the reader task exists: one v1 hello, one
-        # response, nothing else in flight on the stream yet.
-        try:
-            writer.write(encode_frame({"op": "hello"}, 1))
-            await writer.drain()
-            hello = check_response(
-                await asyncio.wait_for(cls._read_frame(reader), timeout)
-            )
-        except (OSError, asyncio.TimeoutError, asyncio.IncompleteReadError) as exc:
-            writer.close()
-            raise ServeError(
-                f"handshake with {host}:{port} failed: {exc}"
-            ) from None
-        except ServeError:
-            writer.close()
-            raise
-        protocol = negotiated_protocol(hello, max_protocol)
-        return cls(reader, writer, protocol, hello)
-
-    @staticmethod
-    async def _read_frame(reader) -> dict | None:
-        try:
-            header = await reader.readexactly(4)
-        except asyncio.IncompleteReadError:
-            return None  # clean EOF at a frame boundary
-        length = parse_frame_length(header)
-        body = await reader.readexactly(length)
-        return decode_frame_payload(body)
+        return cls(reader, writer)
 
     @staticmethod
     async def _read_frame_raw(reader) -> tuple[dict, bytes] | None:
@@ -189,9 +143,7 @@ class _Connection:
         self._pending[request_id] = future
         try:
             async with self._write_lock:
-                self._writer.write(
-                    encode_frame(message, self.protocol)
-                )
+                self._writer.write(encode_frame(message))
                 await self._writer.drain()
         except (OSError, ConnectionError) as exc:
             self._pending.pop(request_id, None)
@@ -270,7 +222,7 @@ class _Connection:
                 future.set_exception(exc)
 
 
-class AsyncServeClient:
+class AsyncServeClient(ServeOps):
     """Asyncio client with a connection pool and request pipelining.
 
     Parameters
@@ -278,8 +230,8 @@ class AsyncServeClient:
     host, port:
         Server address.
     timeout:
-        Per-request seconds to wait for a response (and for connect and
-        handshake steps).
+        Per-request seconds to wait for a response (and for a connect
+        attempt).
     pool_size:
         Maximum connections to open; each call rides the least-loaded
         live connection, new ones are opened only while every existing
@@ -287,9 +239,6 @@ class AsyncServeClient:
     connect_window:
         Seconds of exponential-backoff retry for refused connects
         (``0`` = single attempt).
-    max_protocol:
-        Ceiling on the negotiated protocol generation (``1`` forces
-        base64 JSON frames).
     """
 
     def __init__(
@@ -300,23 +249,16 @@ class AsyncServeClient:
         timeout: float = 60.0,
         pool_size: int = 4,
         connect_window: float = 2.0,
-        max_protocol: int = PROTOCOL_VERSION,
     ) -> None:
         if pool_size < 1:
             raise ParameterError(
                 f"pool_size must be >= 1, got {pool_size}"
-            )
-        if not 1 <= int(max_protocol) <= PROTOCOL_VERSION:
-            raise ParameterError(
-                f"max_protocol must be in [1, {PROTOCOL_VERSION}], "
-                f"got {max_protocol!r}"
             )
         self._host = host
         self._port = int(port)
         self._timeout = float(timeout)
         self._pool_size = int(pool_size)
         self._connect_window = float(connect_window)
-        self._max_protocol = int(max_protocol)
         self._conns: list[_Connection] = []
         self._open_lock = asyncio.Lock()
         self._closed = False
@@ -342,7 +284,6 @@ class AsyncServeClient:
                         self._port,
                         timeout=self._timeout,
                         connect_window=self._connect_window,
-                        max_protocol=self._max_protocol,
                     )
                     self._conns.append(conn)
                     return conn
@@ -397,138 +338,9 @@ class AsyncServeClient:
         conn = await self._acquire()
         return await conn.call(message, self._timeout, raw=True)
 
-    @property
-    def protocol(self) -> int | None:
-        """Negotiated protocol generation (``None`` before any call)."""
-        for conn in self._conns:
-            if not conn.closed:
-                return conn.protocol
-        return None
-
-    # ------------------------------------------------------------------
-    # operations (mirror ServeClient)
-    # ------------------------------------------------------------------
-    async def hello(self) -> dict:
-        return await self._call({"op": "hello"})
-
-    async def upload(self, graph: CSRGraph) -> str:
-        return (await self.upload_graph(graph))["digest"]
-
-    async def upload_graph(self, graph: CSRGraph) -> dict:
-        if not isinstance(graph, CSRGraph):
-            raise ParameterError(
-                f"expected a CSRGraph, got {type(graph).__name__}"
-            )
-        conn = await self._acquire()
-        message = graph_upload_message(graph, conn.protocol)
-        return check_response(await conn.call(message, self._timeout))
-
-    async def upload_text(self, payload: str, format: str = "auto") -> dict:
-        return await self._call(
-            {"op": "upload", "format": format, "payload": payload}
-        )
-
-    async def discard(self, digest: str) -> dict:
-        return await self._call({"op": "discard", "digest": digest})
-
-    async def decompose(
-        self,
-        digest: str,
-        beta: float,
-        *,
-        method: str = "auto",
-        seed: int = 0,
-        validate: bool = False,
-        **options: object,
-    ) -> ServeResult:
-        response = await self._call(
-            {
-                "op": "decompose",
-                "digest": digest,
-                "beta": beta,
-                "method": method,
-                "seed": seed,
-                "validate": validate,
-                "options": dict(options),
-            }
-        )
-        return result_from_response(response)
-
-    async def spanner(
-        self,
-        digest: str,
-        beta: float,
-        *,
-        method: str = "auto",
-        seed: int = 0,
-        **options: object,
-    ) -> ServeSpannerResult:
-        response = await self._call(
-            {
-                "op": "spanner",
-                "digest": digest,
-                "beta": beta,
-                "method": method,
-                "seed": seed,
-                "options": dict(options),
-            }
-        )
-        return spanner_from_response(response)
-
-    async def lowstretch_tree(
-        self,
-        digest: str,
-        *,
-        beta: float = 0.5,
-        method: str = "auto",
-        seed: int = 0,
-        max_levels: int = 64,
-        **options: object,
-    ) -> ServeTreeResult:
-        response = await self._call(
-            {
-                "op": "lowstretch_tree",
-                "digest": digest,
-                "beta": beta,
-                "method": method,
-                "seed": seed,
-                "max_levels": max_levels,
-                "options": dict(options),
-            }
-        )
-        return tree_from_response(response)
-
-    async def hierarchy(
-        self,
-        digest: str,
-        *,
-        seed: int = 0,
-        method: str = "auto",
-        beta_max: float = 0.9,
-        radius_constant: float = 1.0,
-        **options: object,
-    ) -> ServeHierarchyResult:
-        response = await self._call(
-            {
-                "op": "hierarchy",
-                "digest": digest,
-                "seed": seed,
-                "method": method,
-                "beta_max": beta_max,
-                "radius_constant": radius_constant,
-                "options": dict(options),
-            }
-        )
-        return hierarchy_from_response(response)
-
-    async def stats(self) -> dict:
-        return await self._call({"op": "stats"})
-
-    async def metrics(self, *, text: bool = True) -> dict:
-        return await self._call({"op": "metrics", "text": text})
-
-    async def shutdown(self) -> dict:
-        return await self._call({"op": "shutdown"})
+    async def _request(self, message: dict, parse=None):
+        response = await self._call(message)
+        return response if parse is None else parse(response)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -15,6 +15,10 @@ The client is deliberately synchronous: downstream numerical code (solver
 loops, benchmark harnesses) is synchronous, and one connection per thread
 is the natural unit.  A lock serialises frames so a client instance shared
 across threads still interleaves whole requests, never partial frames.
+
+The single-request ops live once, in :class:`ServeOps`, which both this
+client and :class:`~repro.serve.aio_client.AsyncServeClient` inherit;
+only the transport underneath differs.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.errors import ParameterError, ServeError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import to_json
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     as_array,
     compact_arrays,
     encode_frame,
@@ -42,13 +45,14 @@ from repro.telemetry import trace as _trace
 
 __all__ = [
     "ServeClient",
+    "ServeOps",
     "ServeResult",
     "ServeSpannerResult",
     "ServeTreeResult",
     "ServeHierarchyResult",
 ]
 
-#: Classes :meth:`ServeClient.upload_graph` ships as binary arrays — the
+#: Classes :func:`graph_upload_message` ships as binary arrays — the
 #: server's whitelist; anything else falls back to the JSON text path.
 _BINARY_UPLOAD_CLASSES = ("CSRGraph", "WeightedCSRGraph")
 
@@ -224,33 +228,19 @@ def hierarchy_from_response(response: dict) -> ServeHierarchyResult:
     )
 
 
-def negotiated_protocol(hello: dict, max_protocol: int) -> int:
-    """The protocol generation to speak after a ``hello`` exchange.
+def graph_upload_message(graph: CSRGraph) -> dict:
+    """The upload request for ``graph``.
 
-    The highest generation both sides support: the server advertises its
-    ceiling in ``protocol`` (absent/1 for pre-v2 servers), the client caps
-    with ``max_protocol``.  Generation 1 is the floor — every server
-    speaks it.
-    """
-    server_protocol = hello.get("protocol", 1)
-    if not isinstance(server_protocol, int):
-        server_protocol = 1
-    return max(1, min(int(max_protocol), server_protocol))
-
-
-def graph_upload_message(graph: CSRGraph, protocol: int) -> dict:
-    """The upload request for ``graph`` at ``protocol``.
-
-    Generation 2 ships the raw CSR arrays (compact transport dtypes —
-    digest-neutral, the server constructor restores canonical dtypes);
-    generation 1 falls back to the JSON text payload.
+    The raw CSR arrays travel in compact transport dtypes (digest-neutral:
+    the server constructor restores canonical dtypes); a graph class the
+    server cannot rebuild from arrays falls back to the JSON text payload.
     """
     if not isinstance(graph, CSRGraph):
         raise ParameterError(
             f"expected a CSRGraph, got {type(graph).__name__}"
         )
     cls_name = type(graph).__name__
-    if protocol >= 2 and cls_name in _BINARY_UPLOAD_CLASSES:
+    if cls_name in _BINARY_UPLOAD_CLASSES:
         return {
             "op": "upload",
             "class": cls_name,
@@ -259,7 +249,189 @@ def graph_upload_message(graph: CSRGraph, protocol: int) -> dict:
     return {"op": "upload", "format": "json", "payload": to_json(graph)}
 
 
-class ServeClient:
+def _digest_of(response: dict) -> str:
+    return response["digest"]
+
+
+class ServeOps:
+    """The single-request operations, written once for both clients.
+
+    Each op builds its request message and returns
+    ``self._request(message, parse)``.  :class:`ServeClient` implements
+    ``_request`` as a blocking round trip, so its ops return results;
+    :class:`~repro.serve.aio_client.AsyncServeClient` implements it as a
+    coroutine, so the same ops return awaitables there.  Return
+    annotations name the synchronous result.
+    """
+
+    def _request(self, message: dict, parse=None):
+        raise NotImplementedError
+
+    def hello(self) -> dict:
+        """Handshake: server identity, protocol, method registry dump."""
+        return self._request({"op": "hello"})
+
+    def upload(self, graph: CSRGraph) -> str:
+        """Upload a graph object; returns its digest.
+
+        The CSR arrays travel as raw binary buffers (zero-copy
+        server-side); the digest equals a text upload of the same graph.
+        """
+        return self._request(graph_upload_message(graph), _digest_of)
+
+    def upload_graph(self, graph: CSRGraph) -> dict:
+        """Upload a graph object; returns the full server response
+        (``digest``, ``known``, ``num_vertices``, ``num_edges``,
+        ``weighted``)."""
+        return self._request(graph_upload_message(graph))
+
+    def upload_text(self, payload: str, format: str = "auto") -> dict:
+        """Upload serialised graph text; returns the full server response
+        (``digest``, ``known``, ``num_vertices``, ``num_edges``,
+        ``weighted``)."""
+        return self._request(
+            {"op": "upload", "format": format, "payload": payload}
+        )
+
+    def upload_abort(self, upload_id: str) -> dict:
+        """Drop an in-progress chunked upload server-side."""
+        return self._request({"op": "upload_abort", "upload_id": upload_id})
+
+    def discard(self, digest: str) -> dict:
+        """Drop an uploaded graph server-side (frees its shared memory).
+
+        Cooperative: do not race your own in-flight requests against the
+        digest.  Cached results keyed on the digest remain valid — the
+        same bytes re-upload to the same digest.
+        """
+        return self._request({"op": "discard", "digest": digest})
+
+    def decompose(
+        self,
+        digest: str,
+        beta: float,
+        *,
+        method: str = "auto",
+        seed: int = 0,
+        validate: bool = False,
+        **options: object,
+    ) -> ServeResult:
+        """Request one decomposition of the graph behind ``digest``."""
+        return self._request(
+            {
+                "op": "decompose",
+                "digest": digest,
+                "beta": beta,
+                "method": method,
+                "seed": seed,
+                "validate": validate,
+                "options": dict(options),
+            },
+            result_from_response,
+        )
+
+    def spanner(
+        self,
+        digest: str,
+        beta: float,
+        *,
+        method: str = "auto",
+        seed: int = 0,
+        **options: object,
+    ) -> ServeSpannerResult:
+        """Build the cluster spanner of the graph behind ``digest``.
+
+        Runs server-side (decompositions on the server's pool, result
+        through its cache); repeats are warm hits.  The edge array is
+        bit-identical to a local
+        :func:`repro.spanners.ldd_spanner` with the same configuration.
+        """
+        return self._request(
+            {
+                "op": "spanner",
+                "digest": digest,
+                "beta": beta,
+                "method": method,
+                "seed": seed,
+                "options": dict(options),
+            },
+            spanner_from_response,
+        )
+
+    def lowstretch_tree(
+        self,
+        digest: str,
+        *,
+        beta: float = 0.5,
+        method: str = "auto",
+        seed: int = 0,
+        max_levels: int = 64,
+        **options: object,
+    ) -> ServeTreeResult:
+        """Build an AKPW low-stretch spanning forest server-side.
+
+        The parent array is bit-identical to a local
+        :func:`repro.lowstretch.akpw_spanning_tree` with the same
+        configuration.
+        """
+        return self._request(
+            {
+                "op": "lowstretch_tree",
+                "digest": digest,
+                "beta": beta,
+                "method": method,
+                "seed": seed,
+                "max_levels": max_levels,
+                "options": dict(options),
+            },
+            tree_from_response,
+        )
+
+    def hierarchy(
+        self,
+        digest: str,
+        *,
+        seed: int = 0,
+        method: str = "auto",
+        beta_max: float = 0.9,
+        radius_constant: float = 1.0,
+        **options: object,
+    ) -> ServeHierarchyResult:
+        """Build a laminar decomposition hierarchy server-side.
+
+        The label stack is bit-identical to a local
+        :func:`repro.embeddings.hierarchical_decomposition` with the same
+        configuration.
+        """
+        return self._request(
+            {
+                "op": "hierarchy",
+                "digest": digest,
+                "seed": seed,
+                "method": method,
+                "beta_max": beta_max,
+                "radius_constant": radius_constant,
+                "options": dict(options),
+            },
+            hierarchy_from_response,
+        )
+
+    def stats(self) -> dict:
+        """Server/cache/store/pool counters."""
+        return self._request({"op": "stats"})
+
+    def metrics(self, *, text: bool = True) -> dict:
+        """Telemetry snapshot: ``metrics`` (mergeable JSON tree) and, with
+        ``text=True``, its Prometheus rendering under ``text``.  Against a
+        cluster router the snapshot is the merge of every shard's."""
+        return self._request({"op": "metrics", "text": text})
+
+    def shutdown(self) -> dict:
+        """Ask the server to stop (the response confirms it is stopping)."""
+        return self._request({"op": "shutdown"})
+
+
+class ServeClient(ServeOps):
     """Synchronous connection to a :class:`DecompositionServer`.
 
     Parameters
@@ -273,9 +445,6 @@ class ServeClient:
         backoff (50 ms doubling to 800 ms) before giving up — makes the
         startup race against a just-spawned server benign.  ``0`` means a
         single attempt (used by tests that poll for a server's death).
-    max_protocol:
-        Ceiling on the negotiated protocol generation; ``1`` forces the
-        base64-JSON wire format even against a v2 server.
     """
 
     def __init__(
@@ -285,16 +454,7 @@ class ServeClient:
         *,
         timeout: float = 60.0,
         connect_window: float = 2.0,
-        max_protocol: int = PROTOCOL_VERSION,
     ) -> None:
-        if not 1 <= int(max_protocol) <= PROTOCOL_VERSION:
-            raise ParameterError(
-                f"max_protocol must be in [1, {PROTOCOL_VERSION}], "
-                f"got {max_protocol!r}"
-            )
-        self._max_protocol = int(max_protocol)
-        #: negotiated lazily from the first exchange; ``None`` = not yet.
-        self._protocol: int | None = None
         sock, address = self._connect(host, port, timeout, connect_window)
         self._sock: socket.socket | None = sock
         #: the peer actually connected to — lets callers (e.g. a provider
@@ -336,15 +496,10 @@ class ServeClient:
     # ------------------------------------------------------------------
     # transport
     # ------------------------------------------------------------------
-    @property
-    def protocol(self) -> int | None:
-        """Negotiated protocol generation (``None`` before first call)."""
-        return self._protocol
-
-    def _roundtrip_locked(self, message: dict, protocol: int) -> dict | None:
+    def _roundtrip_locked(self, message: dict) -> dict | None:
         """One request/response exchange; caller holds the lock."""
         try:
-            self._sock.sendall(encode_frame(message, protocol))
+            self._sock.sendall(encode_frame(message))
             return read_frame_blocking(self._sock)
         except (OSError, ServeError) as exc:
             # A timeout or mid-frame failure leaves the stream
@@ -359,19 +514,6 @@ class ServeClient:
             raise ServeError(
                 f"connection to server lost: {exc}"
             ) from None
-
-    def _negotiate_locked(self) -> dict | None:
-        """First exchange on the connection: a v1 ``hello`` that fixes the
-        protocol generation for everything after it.  Returns the hello
-        response so an explicit :meth:`hello` costs one round trip."""
-        response = self._roundtrip_locked({"op": "hello"}, 1)
-        if response is not None and response.get("ok"):
-            self._protocol = negotiated_protocol(
-                response, self._max_protocol
-            )
-        else:
-            self._protocol = 1
-        return response
 
     def _call(self, message: dict) -> dict:
         if not _trace.tracing_active():
@@ -398,42 +540,16 @@ class ServeClient:
         with self._lock:
             if self._sock is None:
                 raise ServeError("client is closed")
-            if self._protocol is None:
-                response = self._negotiate_locked()
-                if message.get("op") == "hello" and "trace" not in message:
-                    return check_response(response)
-                check_response(response)
-            response = self._roundtrip_locked(message, self._protocol)
+            response = self._roundtrip_locked(message)
         return check_response(response)
 
+    def _request(self, message: dict, parse=None):
+        response = self._call(message)
+        return response if parse is None else parse(response)
+
     # ------------------------------------------------------------------
-    # operations
+    # blocking-only operations
     # ------------------------------------------------------------------
-    def hello(self) -> dict:
-        """Handshake: server identity, protocol, method registry dump."""
-        return self._call({"op": "hello"})
-
-    def upload(self, graph: CSRGraph) -> str:
-        """Upload a graph object; returns its digest.
-
-        Uses the negotiated wire format: raw binary CSR arrays against a
-        v2 server (~33% smaller than base64, zero-copy server-side), JSON
-        text against a v1 server.  The digest is format-independent.
-        """
-        return self.upload_graph(graph)["digest"]
-
-    def upload_graph(self, graph: CSRGraph) -> dict:
-        """Upload a graph object; returns the full server response
-        (``digest``, ``known``, ``num_vertices``, ``num_edges``,
-        ``weighted``)."""
-        if not isinstance(graph, CSRGraph):
-            raise ParameterError(
-                f"expected a CSRGraph, got {type(graph).__name__}"
-            )
-        if self._protocol is None:
-            self.hello()  # negotiate before choosing the upload format
-        return self._call(graph_upload_message(graph, self._protocol))
-
     def upload_chunked(
         self,
         graph: CSRGraph,
@@ -531,27 +647,6 @@ class ServeClient:
             base = end
         return self._call({"op": "upload_commit", "upload_id": digest})
 
-    def upload_abort(self, upload_id: str) -> dict:
-        """Drop an in-progress chunked upload server-side."""
-        return self._call({"op": "upload_abort", "upload_id": upload_id})
-
-    def upload_text(self, payload: str, format: str = "auto") -> dict:
-        """Upload serialised graph text; returns the full server response
-        (``digest``, ``known``, ``num_vertices``, ``num_edges``,
-        ``weighted``)."""
-        return self._call(
-            {"op": "upload", "format": format, "payload": payload}
-        )
-
-    def discard(self, digest: str) -> dict:
-        """Drop an uploaded graph server-side (frees its shared memory).
-
-        Cooperative: do not race your own in-flight requests against the
-        digest.  Cached results keyed on the digest remain valid — the
-        same bytes re-upload to the same digest.
-        """
-        return self._call({"op": "discard", "digest": digest})
-
     def upload_file(self, path: str | Path, format: str = "auto") -> dict:
         """Upload a graph file's contents.
 
@@ -572,130 +667,6 @@ class ServeClient:
                 f"cannot read graph file {path}: {exc}"
             ) from None
         return self.upload_text(text, format=format)
-
-    def decompose(
-        self,
-        digest: str,
-        beta: float,
-        *,
-        method: str = "auto",
-        seed: int = 0,
-        validate: bool = False,
-        **options: object,
-    ) -> ServeResult:
-        """Request one decomposition of the graph behind ``digest``."""
-        response = self._call(
-            {
-                "op": "decompose",
-                "digest": digest,
-                "beta": beta,
-                "method": method,
-                "seed": seed,
-                "validate": validate,
-                "options": dict(options),
-            }
-        )
-        return result_from_response(response)
-
-    def spanner(
-        self,
-        digest: str,
-        beta: float,
-        *,
-        method: str = "auto",
-        seed: int = 0,
-        **options: object,
-    ) -> ServeSpannerResult:
-        """Build the cluster spanner of the graph behind ``digest``.
-
-        Runs server-side (decompositions on the server's pool, result
-        through its cache); repeats are warm hits.  The edge array is
-        bit-identical to a local
-        :func:`repro.spanners.ldd_spanner` with the same configuration.
-        """
-        response = self._call(
-            {
-                "op": "spanner",
-                "digest": digest,
-                "beta": beta,
-                "method": method,
-                "seed": seed,
-                "options": dict(options),
-            }
-        )
-        return spanner_from_response(response)
-
-    def lowstretch_tree(
-        self,
-        digest: str,
-        *,
-        beta: float = 0.5,
-        method: str = "auto",
-        seed: int = 0,
-        max_levels: int = 64,
-        **options: object,
-    ) -> ServeTreeResult:
-        """Build an AKPW low-stretch spanning forest server-side.
-
-        The parent array is bit-identical to a local
-        :func:`repro.lowstretch.akpw_spanning_tree` with the same
-        configuration.
-        """
-        response = self._call(
-            {
-                "op": "lowstretch_tree",
-                "digest": digest,
-                "beta": beta,
-                "method": method,
-                "seed": seed,
-                "max_levels": max_levels,
-                "options": dict(options),
-            }
-        )
-        return tree_from_response(response)
-
-    def hierarchy(
-        self,
-        digest: str,
-        *,
-        seed: int = 0,
-        method: str = "auto",
-        beta_max: float = 0.9,
-        radius_constant: float = 1.0,
-        **options: object,
-    ) -> ServeHierarchyResult:
-        """Build a laminar decomposition hierarchy server-side.
-
-        The label stack is bit-identical to a local
-        :func:`repro.embeddings.hierarchical_decomposition` with the same
-        configuration.
-        """
-        response = self._call(
-            {
-                "op": "hierarchy",
-                "digest": digest,
-                "seed": seed,
-                "method": method,
-                "beta_max": beta_max,
-                "radius_constant": radius_constant,
-                "options": dict(options),
-            }
-        )
-        return hierarchy_from_response(response)
-
-    def stats(self) -> dict:
-        """Server/cache/store/pool counters."""
-        return self._call({"op": "stats"})
-
-    def metrics(self, *, text: bool = True) -> dict:
-        """Telemetry snapshot: ``metrics`` (mergeable JSON tree) and, with
-        ``text=True``, its Prometheus rendering under ``text``.  Against a
-        cluster router the snapshot is the merge of every shard's."""
-        return self._call({"op": "metrics", "text": text})
-
-    def shutdown(self) -> dict:
-        """Ask the server to stop (the response confirms it is stopping)."""
-        return self._call({"op": "shutdown"})
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -1,4 +1,4 @@
-"""Wire protocol of the decomposition service — framed JSON + binary arrays.
+"""Wire protocol of the decomposition service — JSON header + binary arrays.
 
 Every message (either direction) is one *frame*: a 4-byte big-endian
 unsigned length prefix followed by that many bytes of body.  Length
@@ -6,30 +6,24 @@ prefixing keeps the protocol trivial to implement in any language while
 allowing graph uploads of hundreds of megabytes without line-buffering
 pathologies; :data:`MAX_FRAME_BYTES` bounds what either side will accept.
 
-Two body encodings coexist, distinguished per frame by a 4-byte magic:
-
-**v1** — the body is UTF-8 JSON.  NumPy arrays travel as
-``{"dtype", "shape", "data"}`` objects with base64-encoded raw
-little-endian bytes (:func:`encode_array` / :func:`decode_array`) —
-bit-exact, and ~3× denser than JSON number lists.
-
-**v2** — the body is ``b"RPB2" | u32 header_len | header JSON | tail``:
-control fields stay JSON in the header, but every array is hoisted out
-into the binary *tail* and replaced in the header by an
+A body is ``b"RPB2" | u32 header_len | header JSON | tail``: control
+fields stay JSON in the header, but every NumPy array is hoisted out into
+the binary *tail* and replaced in the header by an
 ``{"__nd__": [offset, nbytes], "dtype", "shape"}`` descriptor.  Offsets
 are 8-byte aligned and relative to the tail start, so the receiver
-materialises each array as an ``np.frombuffer`` view over the frame body —
-zero copies, zero base64 (~25% smaller than v1 for array-heavy frames,
-much smaller for uploads, which also downcast index arrays to the
-narrowest safe integer dtype; the receiving constructor restores
-``int64``, so content digests are unchanged).
+materialises each array as an ``np.frombuffer`` view over the frame body
+(zero copies), and a forwarding layer can rewrite the header without
+touching the tail (:func:`peek_frame_fields`, :func:`restamp_frame`).
+Uploads also downcast index arrays to the narrowest safe integer dtype
+(:func:`compact_arrays`); the receiving constructor restores ``int64``,
+so content digests are unchanged.
 
-A frame body starting with ``{`` is v1 JSON; one starting with
-:data:`V2_MAGIC` is v2.  The sniff (:func:`frame_protocol`) makes servers
-codec-agnostic per frame — a connection can interleave both — while
-clients pick their encoding after the ``hello`` exchange advertises the
-peer's :data:`PROTOCOL_VERSION` (v1-only clients never see a v2 frame
-because responses are encoded in the codec their request arrived in).
+This layout is protocol generation 2 (:data:`PROTOCOL_VERSION`, which
+``hello`` advertises), and it is the only one spoken.  Generation 1 sent
+plain JSON bodies with base64 arrays; such a body (it starts with ``{``)
+is answered once with :func:`framing_error_frame` — a plain-JSON error
+frame an old peer can still read — and the connection is closed.  Every
+other malformed body raises :class:`~repro.errors.ServeError`.
 
 Requests are objects with an ``"op"`` key (``hello``, ``upload``,
 ``decompose``, ``stats``, ``shutdown``, …) and an optional ``"id"`` the
@@ -41,12 +35,11 @@ name) and ``"message"``.
 
 :func:`canonical_cache_key` defines the result-cache identity used by both
 the memoizing cache and in-flight request coalescing; see DESIGN.md §7/§9
-for the canonicalisation rules and the v2 frame layout diagram.
+for the canonicalisation rules and the frame layout diagram.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import struct
 from collections.abc import Mapping
@@ -60,26 +53,21 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "V2_MAGIC",
     "encode_frame",
-    "decode_frame_body",
     "decode_frame_payload",
     "peek_frame_fields",
     "restamp_frame",
-    "frame_protocol",
+    "framing_error_frame",
     "parse_frame_length",
     "read_frame_blocking",
-    "encode_array",
-    "decode_array",
     "as_array",
     "compact_arrays",
     "canonical_cache_key",
 ]
 
-#: Highest protocol generation this build speaks; exchanged in ``hello``.
-#: v1 = JSON frames with base64 arrays, v2 = JSON header + binary tail.
+#: The protocol generation this build speaks; advertised in ``hello``.
 PROTOCOL_VERSION = 2
 
-#: Magic prefix of a v2 frame body (not a valid JSON start, so v1 and v2
-#: frames are distinguishable without connection state).
+#: Magic prefix of every frame body.
 V2_MAGIC = b"RPB2"
 
 #: Upper bound either side accepts for one frame (512 MiB — a ~20M-edge
@@ -88,9 +76,15 @@ MAX_FRAME_BYTES = 512 * 1024 * 1024
 
 _LENGTH = struct.Struct(">I")
 
-#: v2 tail buffers start at multiples of this, so ``np.frombuffer`` views
+#: Tail buffers start at multiples of this, so ``np.frombuffer`` views
 #: are aligned for every dtype the library ships.
 _ALIGN = 8
+
+_V1_REMOVED = (
+    "wire protocol v1 (plain JSON frames) was removed; this endpoint "
+    f"speaks protocol v{PROTOCOL_VERSION} only, whose frame bodies start "
+    f"with {V2_MAGIC!r} (see repro.serve.protocol)"
+)
 
 
 def _check_frame_size(nbytes: int) -> None:
@@ -103,23 +97,36 @@ def _check_frame_size(nbytes: int) -> None:
         )
 
 
-def encode_frame(message: Mapping, protocol: int = 1) -> bytes:
+def _frame(header: bytes, tail) -> bytes:
+    """A complete wire frame around a header and its tail buffers."""
+    body_len = len(V2_MAGIC) + _LENGTH.size + len(header) + sum(
+        len(part) for part in tail
+    )
+    _check_frame_size(body_len)
+    return b"".join(
+        (_LENGTH.pack(body_len), V2_MAGIC, _LENGTH.pack(len(header)),
+         header, *tail)
+    )
+
+
+def encode_frame(message: Mapping, protocol: int = PROTOCOL_VERSION) -> bytes:
     """Serialise one message to its length-prefixed wire form.
 
     ``message`` may contain :class:`numpy.ndarray` values anywhere in its
-    dict/list tree; ``protocol`` selects how they travel — base64 objects
-    inside the JSON (v1) or raw buffers in the binary tail (v2).  The
+    dict/list tree; each travels as a raw buffer in the binary tail.  The
     message itself is never mutated, so cached payload dicts holding
-    arrays can be encoded for v1 and v2 peers alike.
+    arrays can be encoded for any number of responses.
+
+    ``protocol`` exists only for callers that name the generation
+    explicitly (the benchmark harness's layer replay calls
+    ``encode_frame(message, 2)``); it accepts :data:`PROTOCOL_VERSION`
+    and raises :class:`ServeError` for anything else.
     """
-    if protocol == 1:
-        body = json.dumps(
-            _jsonify(message), separators=(",", ":")
-        ).encode("utf-8")
-        _check_frame_size(len(body))
-        return _LENGTH.pack(len(body)) + body
-    if protocol != 2:
-        raise ServeError(f"unknown protocol generation {protocol!r}")
+    if protocol != PROTOCOL_VERSION:
+        raise ServeError(
+            f"unknown protocol generation {protocol!r}; this build speaks "
+            f"only v{PROTOCOL_VERSION}"
+        )
     tail: list[bytes] = []
     offset = 0
 
@@ -144,72 +151,61 @@ def encode_frame(message: Mapping, protocol: int = 1) -> bytes:
     header = json.dumps(
         _transform(message, _hoist), separators=(",", ":")
     ).encode("utf-8")
-    body_len = len(V2_MAGIC) + _LENGTH.size + len(header) + offset
-    _check_frame_size(body_len)
-    return b"".join(
-        (_LENGTH.pack(body_len), V2_MAGIC, _LENGTH.pack(len(header)),
-         header, *tail)
-    )
-
-
-def frame_protocol(body: bytes) -> int:
-    """The protocol generation of a frame body (sniffed, stateless)."""
-    return 2 if body[: len(V2_MAGIC)] == V2_MAGIC else 1
-
-
-def decode_frame_body(body: bytes) -> dict:
-    """Parse a v1 (pure JSON) frame body back into a message object."""
-    try:
-        message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ServeError(f"malformed frame body: {exc}") from None
-    if not isinstance(message, dict):
-        raise ServeError(
-            f"frame body must be a JSON object, got {type(message).__name__}"
-        )
-    return message
+    return _frame(header, tail)
 
 
 def decode_frame_payload(body: bytes) -> dict:
-    """Parse a frame body of either generation into a message object.
+    """Parse a frame body into a message object.
 
-    v1 bodies decode exactly like :func:`decode_frame_body` (base64 array
-    objects stay dicts — resolve them with :func:`as_array`).  v2 bodies
-    decode their header and materialise every ``__nd__`` descriptor as a
-    read-only ``np.frombuffer`` view over ``body`` — zero-copy; the frame
-    bytes stay alive as the arrays' base buffer.
+    Decodes the JSON header and materialises every ``__nd__`` descriptor
+    as a read-only ``np.frombuffer`` view over ``body`` — zero-copy; the
+    frame bytes stay alive as the arrays' base buffer.  Any malformed
+    body raises :class:`ServeError`.
     """
-    if frame_protocol(body) == 1:
-        return decode_frame_body(body)
-    header, tail = _split_v2(body)
+    header, tail = _split(body)
 
     def _materialise(descriptor: Mapping) -> np.ndarray:
         try:
             offset, nbytes = (int(v) for v in descriptor["__nd__"])
             dtype = np.dtype(descriptor["dtype"])
             shape = tuple(int(s) for s in descriptor["shape"])
-            if offset < 0 or offset + nbytes > len(tail):
+            if offset < 0 or nbytes < 0 or offset + nbytes > len(tail):
                 raise ValueError(
                     f"buffer [{offset}, {offset + nbytes}) outside the "
                     f"{len(tail)}-byte tail"
                 )
+            if any(s < 0 for s in shape):
+                raise ValueError(f"negative dimension in shape {shape}")
             return np.frombuffer(
                 tail[offset : offset + nbytes], dtype=dtype
             ).reshape(shape)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (
+            KeyError, TypeError, ValueError, OverflowError
+        ) as exc:
             raise ServeError(f"malformed array payload: {exc}") from None
 
-    return _resolve(header, _materialise)
+    try:
+        return _resolve(header, _materialise)
+    except RecursionError:
+        raise ServeError(
+            "malformed frame body: header nested too deeply"
+        ) from None
 
 
-def _split_v2(body: bytes) -> tuple[dict, memoryview]:
-    """(control fields, binary tail) of a v2 body.
+def _split(body: bytes) -> tuple[dict, memoryview]:
+    """(control fields, binary tail) of a body.
 
     The header JSON is parsed but ``__nd__`` descriptors stay plain
     dicts and the tail is returned as an untouched view — the cheap half
-    of a v2 decode, shared by :func:`decode_frame_payload` (which then
+    of a decode, shared by :func:`decode_frame_payload` (which then
     materialises arrays) and the relay helpers (which never do).
     """
+    if body[: len(V2_MAGIC)] != V2_MAGIC:
+        if body[:1] == b"{":
+            raise ServeError(_V1_REMOVED)
+        raise ServeError(
+            f"malformed frame body: missing the {V2_MAGIC!r} magic"
+        )
     fixed = len(V2_MAGIC) + _LENGTH.size
     if len(body) < fixed:
         raise ServeError("truncated v2 frame: missing header length")
@@ -220,59 +216,64 @@ def _split_v2(body: bytes) -> tuple[dict, memoryview]:
             f"malformed v2 frame: header length {header_len} exceeds the "
             f"body ({len(body)} bytes)"
         )
-    header = decode_frame_body(body[fixed:tail_start])
+    try:
+        header = json.loads(body[fixed:tail_start].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers;
+        # RecursionError a header nested deeper than the parser allows.
+        raise ServeError(f"malformed frame body: {exc}") from None
+    if not isinstance(header, dict):
+        raise ServeError(
+            f"frame header must be a JSON object, got {type(header).__name__}"
+        )
     return header, memoryview(body)[tail_start:]
 
 
 def peek_frame_fields(body: bytes) -> dict:
     """A frame body's control fields, with arrays left unmaterialised.
 
-    For v2 bodies only the JSON header is parsed — ``__nd__`` descriptors
-    stay plain dicts and the binary tail is never touched.  v1 bodies are
-    pure JSON, so the parse is the same as :func:`decode_frame_body`.
-    Forwarding layers use this to read routing fields (``id``, ``ok``,
-    ``op``) off a frame they intend to relay verbatim.
+    Only the JSON header is parsed — ``__nd__`` descriptors stay plain
+    dicts and the binary tail is never touched.  Forwarding layers use
+    this to read routing fields (``id``, ``ok``, ``op``) off a frame they
+    intend to relay verbatim.
     """
-    if frame_protocol(body) == 1:
-        return decode_frame_body(body)
-    return _split_v2(body)[0]
+    return _split(body)[0]
 
 
 def restamp_frame(body: bytes, updates: Mapping) -> bytes:
     """Re-frame a received body with top-level control fields changed.
 
-    Returns a complete wire frame (length prefix included) in the same
-    generation ``body`` arrived in.  For v2, only the JSON header is
-    rewritten; the binary tail is spliced through untouched — array
-    descriptors hold *tail-relative* offsets, so a header of different
-    length cannot invalidate them.  An update value of ``None`` removes
-    the field.  This is the router's zero-decode relay path: retag a
-    shard response (``id``, ``shard``) without materialising or
+    Returns a complete wire frame (length prefix included).  Only the JSON
+    header is rewritten; the binary tail is spliced through untouched —
+    array descriptors hold *tail-relative* offsets, so a header of
+    different length cannot invalidate them.  An update value of ``None``
+    removes the field.  This is the router's zero-decode relay path:
+    retag a shard response (``id``, ``shard``) without materialising or
     re-encoding its arrays.
     """
-    if frame_protocol(body) == 1:
-        message = decode_frame_body(body)
-        _apply_updates(message, updates)
-        out = json.dumps(message, separators=(",", ":")).encode("utf-8")
-        _check_frame_size(len(out))
-        return _LENGTH.pack(len(out)) + out
-    header, tail = _split_v2(body)
-    _apply_updates(header, updates)
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    body_len = len(V2_MAGIC) + _LENGTH.size + len(header_bytes) + len(tail)
-    _check_frame_size(body_len)
-    return b"".join(
-        (_LENGTH.pack(body_len), V2_MAGIC, _LENGTH.pack(len(header_bytes)),
-         header_bytes, tail)
-    )
-
-
-def _apply_updates(message: dict, updates: Mapping) -> None:
+    header, tail = _split(body)
     for key, value in updates.items():
         if value is None:
-            message.pop(key, None)
+            header.pop(key, None)
         else:
-            message[key] = value
+            header[key] = value
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    return _frame(header_bytes, (tail,))
+
+
+def framing_error_frame(message: str, body: bytes | None = None) -> bytes:
+    """The one error frame answering a frame that could not be decoded.
+
+    The endpoint closes the connection after writing it.  When ``body`` is
+    a legacy generation-1 body (plain JSON, starting with ``{``) the same
+    ``ok: false`` fields go out as a plain-JSON frame, the only kind such
+    a peer can read; otherwise the frame is a normal one.
+    """
+    fields = {"ok": False, "error": "ServeError", "message": message}
+    if body is not None and body[:1] == b"{":
+        raw = json.dumps(fields, separators=(",", ":")).encode("utf-8")
+        return _LENGTH.pack(len(raw)) + raw
+    return encode_frame(fields)
 
 
 def parse_frame_length(header: bytes) -> int:
@@ -288,12 +289,7 @@ def parse_frame_length(header: bytes) -> int:
 
 
 def read_frame_blocking(sock) -> dict | None:
-    """Read one frame from a blocking socket; ``None`` on clean EOF.
-
-    Accepts both generations (the body is sniffed), so a negotiating
-    client can read the v1 ``hello`` response and every v2 frame after it
-    with the same call.
-    """
+    """Read one frame from a blocking socket; ``None`` on clean EOF."""
     header = _recv_exactly(sock, _LENGTH.size)
     if header is None:
         return None
@@ -331,11 +327,6 @@ def _transform(node, hoist):
     return node
 
 
-def _jsonify(node):
-    """v1 transform: ndarrays become base64 array objects."""
-    return _transform(node, encode_array)
-
-
 def _resolve(node, materialise):
     """Decode transform: ``__nd__`` descriptors become array views."""
     if isinstance(node, dict):
@@ -347,44 +338,15 @@ def _resolve(node, materialise):
     return node
 
 
-# ---------------------------------------------------------------------------
-# array codec
-# ---------------------------------------------------------------------------
-def encode_array(arr: np.ndarray) -> dict:
-    """Encode an array as a JSON-safe object, bit-exactly (v1 codec)."""
-    arr = np.ascontiguousarray(arr)
-    # Little-endian on the wire; '<' covers every platform this runs on.
-    dtype = arr.dtype.newbyteorder("<")
-    return {
-        "dtype": dtype.str,
-        "shape": list(arr.shape),
-        "data": base64.b64encode(arr.astype(dtype, copy=False).tobytes())
-        .decode("ascii"),
-    }
-
-
-def decode_array(obj: Mapping) -> np.ndarray:
-    """Inverse of :func:`encode_array`."""
-    try:
-        dtype = np.dtype(obj["dtype"])
-        shape = tuple(int(s) for s in obj["shape"])
-        raw = base64.b64decode(obj["data"], validate=True)
-        arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ServeError(f"malformed array payload: {exc}") from None
-    return arr
-
-
 def as_array(obj) -> np.ndarray:
-    """An array from either codec's decoded form.
+    """``obj`` if it is an ndarray, else :class:`ServeError`.
 
-    v2 decoding already yields ndarrays; v1 leaves base64 objects.  Client
-    result builders call this so one code path serves both generations.
+    Decoding already turns every descriptor into an ndarray; this guards
+    fields that arrive from outside (upload arrays, chunk data, response
+    arrays) against a peer that sent some other JSON value in their place.
     """
     if isinstance(obj, np.ndarray):
         return obj
-    if isinstance(obj, Mapping):
-        return decode_array(obj)
     raise ServeError(
         f"expected an array payload, got {type(obj).__name__}"
     )
@@ -395,7 +357,7 @@ def compact_arrays(arrays: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
 
     Transport-only: an upload receiver rebuilds the graph through its
     constructor, which restores the canonical ``int64`` vertex dtype, so
-    the content digest is unchanged while v2 index buffers shrink 2–4×.
+    the content digest is unchanged while index buffers shrink 2–4×.
     Floating arrays (weights) pass through untouched — bit-exactness there
     is the conformance contract.
     """

@@ -76,7 +76,7 @@ from repro.serve.protocol import (
     canonical_cache_key,
     decode_frame_payload,
     encode_frame,
-    frame_protocol,
+    framing_error_frame,
     parse_frame_length,
 )
 from repro.serve.store import GraphStore, graph_digest
@@ -102,7 +102,7 @@ def upload_builder(message: dict):
     The returned callable does the CPU-heavy work (parse or construct plus
     SHA-256) and is meant to run on an executor thread.  Two request
     shapes: text (``payload`` + ``format``) and binary (``arrays`` +
-    ``class``, the ``csr_arrays()`` contract straight off the wire — v2
+    ``class``, the ``csr_arrays()`` contract straight off the wire —
     clients send raw compact-dtype buffers; the graph constructor restores
     canonical dtypes and validates structure, so the resulting digest
     equals a text upload of the same graph).  Shared by the server and the
@@ -559,7 +559,7 @@ class DecompositionServer:
         write_lock = asyncio.Lock()
         request_tasks: set[asyncio.Task] = set()
 
-        async def _respond(message: dict, protocol: int) -> None:
+        async def _respond(message: dict) -> None:
             """Dispatch one request and write its response frame.
 
             Runs as its own task so a connection can have many requests in
@@ -572,7 +572,7 @@ class DecompositionServer:
             if "id" in message:
                 response["id"] = message["id"]
             try:
-                frame = encode_frame(response, protocol)
+                frame = encode_frame(response)
             except ServeError as exc:  # oversized response
                 frame = encode_frame(
                     {
@@ -582,8 +582,7 @@ class DecompositionServer:
                         **(
                             {"id": message["id"]} if "id" in message else {}
                         ),
-                    },
-                    protocol,
+                    }
                 )
             try:
                 async with write_lock:
@@ -594,12 +593,12 @@ class DecompositionServer:
 
         try:
             while True:
+                body = None
                 try:
                     header = await reader.readexactly(4)
                     length = parse_frame_length(header)
                     body = await reader.readexactly(length)
                     self._touch()
-                    protocol = frame_protocol(body)
                     message = decode_frame_payload(body)
                 except asyncio.IncompleteReadError:
                     return  # client hung up at (or inside) a frame boundary
@@ -608,16 +607,10 @@ class DecompositionServer:
                     # with an error frame, then drop the stream — after a
                     # framing violation it cannot be trusted.
                     async with write_lock:
-                        writer.write(encode_frame({
-                            "ok": False,
-                            "error": "ServeError",
-                            "message": str(exc),
-                        }))
+                        writer.write(framing_error_frame(str(exc), body))
                         await writer.drain()
                     return
-                request = self._loop.create_task(
-                    _respond(message, protocol)
-                )
+                request = self._loop.create_task(_respond(message))
                 for registry in (request_tasks, self._conn_tasks):
                     registry.add(request)
                     request.add_done_callback(registry.discard)
@@ -717,7 +710,6 @@ class DecompositionServer:
             "server": "repro.serve",
             "version": __version__,
             "protocol": PROTOCOL_VERSION,
-            "protocols": list(range(1, PROTOCOL_VERSION + 1)),
             "ops": sorted(self._OPS),
             "methods": describe_methods(),
             "default_methods": dict(DEFAULT_METHODS),
@@ -1225,10 +1217,10 @@ class DecompositionServer:
     def _app_payload_nbytes(payload: dict) -> int:
         """Cache accounting size of an app-op payload.
 
-        Payloads are codec-neutral trees holding raw ``ndarray`` values
-        (``encode_frame`` serialises them per client protocol at write
-        time), so the charge is the array byte totals — the dominant
-        term — plus a flat overhead for the metadata.
+        Payloads are trees holding raw ``ndarray`` values (``encode_frame``
+        serialises them at write time), so the charge is the array byte
+        totals — the dominant term — plus a flat overhead for the
+        metadata.
         """
         total = 1024
         stack = [payload]
@@ -1237,10 +1229,7 @@ class DecompositionServer:
             if isinstance(node, np.ndarray):
                 total += int(node.nbytes)
             elif isinstance(node, dict):
-                if "data" in node and isinstance(node.get("data"), str):
-                    total += len(node["data"])
-                else:
-                    stack.extend(node.values())
+                stack.extend(node.values())
             elif isinstance(node, list):
                 stack.extend(node)
         return total

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import json
 import socket
+import struct
 import threading
 import time
 
@@ -37,6 +39,7 @@ from repro.lowstretch.akpw import akpw_spanning_tree
 from repro.pipeline import EngineProvider, provider_from_spec
 from repro.serve import ServeClient, graph_digest, serve_background
 from repro.serve.aio_client import AsyncServeClient
+from repro.serve.protocol import decode_frame_payload, parse_frame_length
 from repro.spanners.cluster_spanner import ldd_spanner
 
 SEEDS = (31, 32)
@@ -372,15 +375,12 @@ class TestAsyncClient:
             async with AsyncServeClient(
                 *router.address, pool_size=2
             ) as client:
-                assert client.protocol is None  # no connection yet
                 jobs = [
                     client.decompose(digest, 0.3, seed=seed)
                     for seed in range(6)
                     for _ in range(2)  # duplicates in flight together
                 ]
-                results = await asyncio.gather(*jobs)
-                assert client.protocol == 2
-                return results
+                return await asyncio.gather(*jobs)
 
         results = asyncio.run(burst())
         for seed, pair in zip(range(6), zip(results[::2], results[1::2])):
@@ -446,16 +446,35 @@ class TestRelayPlane:
                 time.sleep(0.02)
         assert relayed() > before, "relay fast path never engaged"
 
-    def test_v1_client_round_trips_through_the_router(self, running_cluster):
-        """Cross-generation: a v1 client against a v2 cluster takes the
-        transcode path and still answers digest-identically."""
-        digest = graph_digest(GRID)
-        with ServeClient(
-            *running_cluster.address, max_protocol=1
-        ) as client:
-            result = client.decompose(digest, 0.3, seed=7)
-            assert client.protocol == 1
-        assert result.result_digest() == serial_digest(GRID, 0.3, seed=7)
+    @pytest.mark.parametrize(
+        "body, plain_json",
+        [(b'{"op":"hello"}', True), (b"hello there", False)],
+        ids=["v1-json", "garbage"],
+    )
+    def test_router_refuses_non_v2_bodies_once(
+        self, running_cluster, body, plain_json
+    ):
+        """A legacy v1 body gets one plain-JSON refusal naming v2; other
+        non-frames keep the malformed-frame error.  Either way the router
+        closes that connection and keeps serving others."""
+        with socket.create_connection(
+            running_cluster.address, timeout=10
+        ) as sock:
+            sock.sendall(struct.pack(">I", len(body)) + body)
+            stream = sock.makefile("rb")
+            reply = stream.read(parse_frame_length(stream.read(4)))
+            assert stream.read(1) == b""  # one reply, then closed
+        if plain_json:
+            response = json.loads(reply)
+            assert "v1" in response["message"]
+            assert "removed" in response["message"]
+            assert "v2" in response["message"]
+        else:
+            response = decode_frame_payload(reply)
+            assert "malformed frame" in response["message"]
+        assert response["ok"] is False and response["error"] == "ServeError"
+        with ServeClient(*running_cluster.address) as client:
+            assert client.stats()["ok"]
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +650,7 @@ class TestBatchFaultInjection:
         every request in the batch times out; the failure is one loud
         ServeError and the provider survives."""
         from repro.pipeline import DecomposeRequest, ServeProvider
-        from repro.serve.protocol import (
-            encode_frame,
-            parse_frame_length,
-        )
+        from repro.serve.protocol import encode_frame
 
         graph = erdos_renyi(20, 0.2, seed=7)
         digest = graph_digest(graph)
@@ -649,20 +665,13 @@ class TestBatchFaultInjection:
                     )
                 except (asyncio.IncompleteReadError, ConnectionError):
                     return
-                from repro.serve.protocol import decode_frame_payload
-
                 message = decode_frame_payload(body)
-                op = message.get("op")
-                reply = None
-                if op == "hello":
-                    reply = {"ok": True, "protocol": 1}
-                elif op == "upload":
-                    reply = {"ok": True, "digest": digest, "known": False}
                 # decompose: never answer — the timeout must fire.
-                if reply is not None:
+                if message.get("op") == "upload":
+                    reply = {"ok": True, "digest": digest, "known": False}
                     if "id" in message:
                         reply["id"] = message["id"]
-                    writer.write(encode_frame(reply, 1))
+                    writer.write(encode_frame(reply))
                     await writer.drain()
 
         def run_server(ready):

@@ -9,6 +9,7 @@ execution per unique configuration, counters consistent.
 from __future__ import annotations
 
 import hashlib
+import json
 import socket
 import struct
 import time
@@ -16,6 +17,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.core.decomposition
 import repro.graphs.ops
@@ -31,8 +34,6 @@ from repro.serve import (
     ResultCache,
     ServeClient,
     canonical_cache_key,
-    decode_array,
-    encode_array,
     graph_digest,
     serve_background,
 )
@@ -41,11 +42,13 @@ from repro.serve.protocol import (
     V2_MAGIC,
     as_array,
     compact_arrays,
-    decode_frame_body,
     decode_frame_payload,
     encode_frame,
-    frame_protocol,
+    framing_error_frame,
     parse_frame_length,
+    peek_frame_fields,
+    read_frame_blocking,
+    restamp_frame,
 )
 from repro.serve.store import GraphStore
 
@@ -69,13 +72,80 @@ def serial_digest(graph, beta, *, method="auto", seed=0, **options) -> str:
 # ---------------------------------------------------------------------------
 # protocol
 # ---------------------------------------------------------------------------
+def _v2_body(header: bytes, tail: bytes = b"") -> bytes:
+    """A frame body around a raw header (which need not be valid JSON)."""
+    return V2_MAGIC + struct.pack(">I", len(header)) + header + tail
+
+
+def _decoders_only_raise_serve_error(body: bytes) -> None:
+    """The three body parsers return or raise ServeError — nothing else."""
+    for decode in (
+        decode_frame_payload,
+        peek_frame_fields,
+        lambda b: restamp_frame(b, {"id": 1, "shard": None}),
+    ):
+        try:
+            decode(body)
+        except ServeError:
+            pass
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats()  # NaN and ±Infinity are legal for Python's json
+    | st.text(max_size=6)
+)
+_DESCRIPTORS = st.fixed_dictionaries(
+    {
+        "__nd__": st.lists(
+            st.integers(-(2**66), 2**66) | st.floats(), max_size=3
+        )
+        | _JSON_LEAVES,
+    },
+    optional={
+        "dtype": st.sampled_from(
+            ["<i8", "<f8", "|u1", "<i2", "O", "V0", "S0", "(2,)i4", "i4,f8",
+             "bogus"]
+        )
+        | _JSON_LEAVES,
+        "shape": st.lists(st.integers(-3, 2**40) | st.floats(), max_size=3)
+        | _JSON_LEAVES,
+    },
+)
+_HEADERS = st.recursive(
+    _JSON_LEAVES | _DESCRIPTORS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+_VALID_BODIES = [
+    encode_frame(message)[4:]
+    for message in (
+        {"op": "hello", "id": 3},
+        {"ok": True, "center": np.arange(9, dtype=np.int64),
+         "per_vertex": np.zeros((3, 2), dtype=np.int32), "summary": {"a": 1}},
+        {"op": "upload", "arrays": {"w": np.linspace(0, 1, 5)}},
+    )
+]
+_FUZZ = settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+# ---------------------------------------------------------------------------
+# protocol
+# ---------------------------------------------------------------------------
 class TestProtocol:
     def test_frame_round_trip(self):
         message = {"op": "hello", "nested": {"x": [1, 2.5, "s", None, True]}}
         frame = encode_frame(message)
         length = parse_frame_length(frame[:4])
         assert length == len(frame) - 4
-        assert decode_frame_body(frame[4:]) == message
+        assert decode_frame_payload(frame[4:]) == message
 
     def test_oversized_announcement_rejected(self):
         header = struct.pack(">I", 2**31)
@@ -84,27 +154,17 @@ class TestProtocol:
 
     def test_malformed_body_rejected(self):
         with pytest.raises(ServeError, match="malformed frame"):
-            decode_frame_body(b"{not json")
+            decode_frame_payload(_v2_body(b"{not json"))
         with pytest.raises(ServeError, match="JSON object"):
-            decode_frame_body(b"[1, 2]")
-
-    @pytest.mark.parametrize(
-        "arr",
-        [
-            np.arange(17, dtype=np.int64),
-            np.linspace(0, 1, 9, dtype=np.float64),
-            np.zeros(0, dtype=np.int64),
-        ],
-    )
-    def test_array_codec_bit_exact(self, arr):
-        decoded = decode_array(encode_array(arr))
-        assert decoded.dtype == arr.dtype.newbyteorder("<")
-        np.testing.assert_array_equal(decoded, arr)
-        assert decoded.tobytes() == np.ascontiguousarray(arr).tobytes()
+            decode_frame_payload(_v2_body(b"[1, 2]"))
+        # Not a frame body of any generation: no magic, not JSON either.
+        with pytest.raises(ServeError, match="malformed frame"):
+            decode_frame_payload(b"hello")
 
     def test_malformed_array_payload(self):
+        body = _v2_body(b'{"a":{"__nd__":[0,8],"shape":[1]}}', bytes(8))
         with pytest.raises(ServeError, match="malformed array"):
-            decode_array({"dtype": "<i8", "shape": [2]})  # no data
+            decode_frame_payload(body)  # no dtype
 
     @pytest.mark.parametrize(
         "arr",
@@ -121,7 +181,6 @@ class TestProtocol:
         message = {"op": "x", "nested": {"arr": arr}, "stack": [arr], "n": 7}
         frame = encode_frame(message, 2)
         body = frame[4:]
-        assert frame_protocol(body) == 2
         assert body[:4] == V2_MAGIC
         decoded = decode_frame_payload(body)
         assert decoded["n"] == 7
@@ -141,32 +200,48 @@ class TestProtocol:
         with pytest.raises(ValueError):
             view[0] = 99
 
-    def test_v1_bodies_sniffed_and_arrays_left_encoded(self):
-        body = encode_frame({"a": np.arange(3, dtype=np.int64)}, 1)[4:]
-        assert frame_protocol(body) == 1
-        decoded = decode_frame_payload(body)
-        assert isinstance(decoded["a"], dict)  # base64 object, not ndarray
-        np.testing.assert_array_equal(
-            as_array(decoded["a"]), np.arange(3)
-        )
+    def test_v1_body_refused_with_clear_error(self):
+        legacy = b'{"op":"hello"}'
+        for decode in (decode_frame_payload, peek_frame_fields):
+            with pytest.raises(ServeError, match="v1.*removed.*v2"):
+                decode(legacy)
+        with pytest.raises(ServeError, match="v1.*removed"):
+            restamp_frame(legacy, {"id": 1})
+        # The refusal to a legacy body is plain JSON, readable by a v1
+        # peer; to anything else it is a normal frame.
+        frame = framing_error_frame("gone", legacy)
+        assert json.loads(frame[4:]) == {
+            "ok": False, "error": "ServeError", "message": "gone",
+        }
+        assert parse_frame_length(frame[:4]) == len(frame) - 4
+        frame = framing_error_frame("bad", b"junk")
+        assert decode_frame_payload(frame[4:])["message"] == "bad"
 
-    def test_encode_array_non_contiguous_input(self):
-        arr = np.arange(30, dtype=np.int64)[::3]
-        decoded = decode_array(encode_array(arr))
-        np.testing.assert_array_equal(decoded, arr)
+    def test_as_array_accepts_only_ndarrays(self):
+        arr = np.arange(3)
+        assert as_array(arr) is arr
+        for bogus in ({"dtype": "<i8", "shape": [1], "data": "AAAAAAAAAAA="},
+                      [1, 2], "x"):
+            with pytest.raises(ServeError, match="expected an array"):
+                as_array(bogus)
 
     def test_unknown_protocol_generation_rejected(self):
-        with pytest.raises(ServeError, match="unknown protocol"):
-            encode_frame({"op": "hello"}, 3)
+        for generation in (1, 3):
+            with pytest.raises(ServeError, match="unknown protocol"):
+                encode_frame({"op": "hello"}, generation)
 
     def test_oversize_frame_fails_fast_both_codecs(self, monkeypatch):
+        """Both frame writers — encode_frame and the relay's restamp —
+        refuse to build a frame past the bound."""
         import repro.serve.protocol as protocol
 
+        small = encode_frame({"op": "upload"})[4:]
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
         big = {"op": "upload", "payload": "x" * 256}
-        for generation in (1, 2):
-            with pytest.raises(ServeError, match="exceeds the protocol"):
-                encode_frame(big, generation)
+        with pytest.raises(ServeError, match="exceeds the protocol"):
+            encode_frame(big)
+        with pytest.raises(ServeError, match="exceeds the protocol"):
+            restamp_frame(small, big)
         # The receive side enforces the same bound on the announcement.
         with pytest.raises(ServeError, match="exceeding"):
             parse_frame_length(struct.pack(">I", 65))
@@ -182,6 +257,53 @@ class TestProtocol:
         tampered = body.replace(b'"__nd__":[0,32]', b'"__nd__":[0,99]')
         with pytest.raises(ServeError, match="malformed array"):
             decode_frame_payload(bytes(tampered))
+        # Negative or non-finite sizes must not slice or reshape their
+        # way to an array.
+        for descriptor in (
+            b'{"__nd__":[4,-2],"dtype":"<i8","shape":[0]}',
+            b'{"__nd__":[0,32],"dtype":"<i8","shape":[-1]}',
+            b'{"__nd__":[0,Infinity],"dtype":"<i8","shape":[4]}',
+        ):
+            body = _v2_body(b'{"a":' + descriptor + b"}", bytes(32))
+            with pytest.raises(ServeError, match="malformed array"):
+                decode_frame_payload(body)
+
+    @pytest.mark.parametrize("depth", [200, 900, 5_000, 100_000])
+    def test_deeply_nested_header_is_a_serve_error(self, depth):
+        nested = b'{"a":' + b"[" * depth + b"]" * depth + b"}"
+        for body in (_v2_body(b"[" * depth), _v2_body(nested)):
+            _decoders_only_raise_serve_error(body)
+        with pytest.raises(ServeError, match="malformed frame"):
+            decode_frame_payload(_v2_body(b"[" * 100_000))
+
+    @_FUZZ
+    @given(header=_HEADERS, tail=st.binary(max_size=48))
+    def test_random_headers_raise_only_serve_error(self, header, tail):
+        _decoders_only_raise_serve_error(
+            _v2_body(json.dumps(header).encode("utf-8"), tail)
+        )
+
+    @_FUZZ
+    @given(
+        base=st.sampled_from(_VALID_BODIES),
+        edits=st.lists(
+            st.tuples(st.integers(0, 10_000), st.integers(0, 255)),
+            max_size=6,
+        ),
+        cut=st.integers(0, 10_000),
+    )
+    def test_mutated_bodies_raise_only_serve_error(self, base, edits, cut):
+        body = bytearray(base)
+        for position, value in edits:
+            body[position % len(body)] = value
+        _decoders_only_raise_serve_error(bytes(body))
+        _decoders_only_raise_serve_error(bytes(body[: cut % len(body)]))
+
+    @_FUZZ
+    @given(body=st.binary(max_size=96))
+    def test_random_bytes_raise_only_serve_error(self, body):
+        _decoders_only_raise_serve_error(body)
+        _decoders_only_raise_serve_error(V2_MAGIC + body)
 
     def test_compact_arrays_downcasts_transport_only(self):
         arrays = {
@@ -679,19 +801,13 @@ class TestAsyncClientTimers:
 
         from repro.serve.aio_client import AsyncServeClient
 
-        async def hang_after_hello(reader, writer):
-            # Answer the v1 hello handshake, then go silent forever.
-            header = await reader.readexactly(4)
-            await reader.readexactly(parse_frame_length(header))
-            writer.write(encode_frame({"ok": True, "protocol": 1}, 1))
-            await writer.drain()
+        async def hang(reader, writer):
+            # Read every request, answer none of them.
             while await reader.read(65536):
                 pass
 
         async def run():
-            server = await asyncio.start_server(
-                hang_after_hello, "127.0.0.1", 0
-            )
+            server = await asyncio.start_server(hang, "127.0.0.1", 0)
             host, port = server.sockets[0].getsockname()[:2]
             client = AsyncServeClient(host, port, timeout=60.0, pool_size=1)
             task = asyncio.create_task(client.call({"op": "stats"}))
@@ -724,21 +840,25 @@ class TestAsyncClientTimers:
 
         from repro.serve.aio_client import AsyncServeClient
 
-        async def hello_then_drop(reader, writer):
+        async def answer_once_then_drop(reader, writer):
+            # Answer the first request in v2, then drop the connection
+            # when the second one arrives.
             header = await reader.readexactly(4)
-            await reader.readexactly(parse_frame_length(header))
-            writer.write(encode_frame({"ok": True, "protocol": 1}, 1))
+            request = decode_frame_payload(
+                await reader.readexactly(parse_frame_length(header))
+            )
+            writer.write(encode_frame({"ok": True, "id": request["id"]}))
             await writer.drain()
-            # Wait for one more request, then drop the connection.
             await reader.readexactly(4)
             writer.close()
 
         async def run():
             server = await asyncio.start_server(
-                hello_then_drop, "127.0.0.1", 0
+                answer_once_then_drop, "127.0.0.1", 0
             )
             host, port = server.sockets[0].getsockname()[:2]
             client = AsyncServeClient(host, port, timeout=60.0, pool_size=1)
+            assert (await client.call({"op": "stats"}))["ok"] is True
             with pytest.raises(ServeError, match="closed|lost"):
                 await client.call({"op": "stats"})
             assert client._conns[0]._timers == {}
@@ -750,45 +870,30 @@ class TestAsyncClientTimers:
 
 
 class TestProtocolNegotiation:
-    """v1 <-> v2 interop: the hello handshake picks the generation, and a
-    v1-only client keeps working against a v2 server unchanged."""
-
-    def test_v1_client_round_trips_against_v2_server(self, running_server):
-        server, _, _ = running_server
-        graph = erdos_renyi(50, 0.12, seed=91)
-        with ServeClient(*server.address, max_protocol=1) as client:
-            hello = client.hello()
-            assert hello["protocol"] >= 2  # the server speaks v2...
-            assert client.protocol == 1  # ...but honours the v1 cap
-            digest = client.upload(graph)
-            assert digest == graph_digest(graph)
-            result = client.decompose(digest, 0.3, seed=4)
-            assert result.result_digest() == serial_digest(graph, 0.3, seed=4)
+    """What is left of negotiation: ``hello`` advertises the one protocol
+    generation, every client speaks it, and a peer sending a legacy v1
+    (plain JSON) body gets one clear refusal instead of silence."""
 
     def test_default_client_negotiates_v2(self, running_server):
-        server, _, digest = running_server
+        server, graph, digest = running_server
         with ServeClient(*server.address) as client:
             hello = client.hello()
-            assert 1 in hello["protocols"] and 2 in hello["protocols"]
-            assert client.protocol == 2
+            assert hello["protocol"] == 2
+            assert "protocols" not in hello
             result = client.decompose(digest, 0.31, seed=9)
-        with ServeClient(*server.address, max_protocol=1) as v1:
-            legacy = v1.decompose(digest, 0.31, seed=9)
-        # Same cached decomposition, regardless of wire generation.
-        assert result.result_digest() == legacy.result_digest()
+        assert result.result_digest() == serial_digest(graph, 0.31, seed=9)
 
     def test_binary_and_text_uploads_share_digest(self, running_server):
         server, _, _ = running_server
         graph = erdos_renyi(40, 0.15, seed=92)
-        with ServeClient(*server.address, max_protocol=1) as v1:
-            first = v1.upload_graph(graph)
-        with ServeClient(*server.address) as v2:
-            second = v2.upload_graph(graph)
-        assert first["digest"] == second["digest"]
+        with ServeClient(*server.address) as client:
+            first = client.upload_text(to_json(graph), "json")
+            second = client.upload_graph(graph)
+        assert first["digest"] == second["digest"] == graph_digest(graph)
         assert first["known"] is False and second["known"] is True
 
-    @pytest.mark.parametrize("max_protocol", [1, 2])
-    def test_degenerate_graph_uploads(self, running_server, max_protocol):
+    @pytest.mark.parametrize("encoding", ["binary", "text"])
+    def test_degenerate_graph_uploads(self, running_server, encoding):
         from repro.graphs.csr import CSRGraph
 
         server, _, _ = running_server
@@ -796,11 +901,57 @@ class TestProtocolNegotiation:
             np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
         )  # 0 nodes, 0 edges
         lone = path_graph(1)  # 1 node, 0 edges
-        with ServeClient(
-            *server.address, max_protocol=max_protocol
-        ) as client:
+        with ServeClient(*server.address) as client:
             for graph, vertices in ((empty, 0), (lone, 1)):
-                response = client.upload_graph(graph)
+                if encoding == "binary":
+                    response = client.upload_graph(graph)
+                else:
+                    response = client.upload_text(to_json(graph), "json")
                 assert response["digest"] == graph_digest(graph)
                 assert response["num_vertices"] == vertices
                 assert response["num_edges"] == 0
+
+    def test_v1_body_gets_one_plain_json_refusal(self, running_server):
+        server, _, _ = running_server
+        reply = _send_raw_body(server.address, b'{"op":"hello"}')
+        refusal = json.loads(reply)  # plain JSON: a v1 peer can read it
+        assert refusal["ok"] is False and refusal["error"] == "ServeError"
+        assert "v1" in refusal["message"] and "removed" in refusal["message"]
+        assert "v2" in refusal["message"]
+        with ServeClient(*server.address) as client:
+            assert client.stats()["ok"]
+
+    def test_unframed_garbage_keeps_the_malformed_frame_error(
+        self, running_server
+    ):
+        server, _, _ = running_server
+        reply = _send_raw_body(server.address, b"hello there")
+        response = decode_frame_payload(reply)
+        assert response["ok"] is False
+        assert "malformed frame" in response["message"]
+
+    def test_deeply_nested_frame_gets_an_error_frame(self, running_server):
+        """A header nested past the JSON parser's recursion limit is
+        answered with an ok:false frame (not a silent EOF), and the server
+        keeps serving fresh clients."""
+        server, _, digest = running_server
+        reply = _send_raw_body(server.address, _v2_body(b"[" * 100_000))
+        response = decode_frame_payload(reply)
+        assert response["ok"] is False
+        assert response["error"] == "ServeError"
+        assert "malformed frame" in response["message"]
+        with ServeClient(*server.address) as client:
+            assert client.decompose(digest, 0.3, seed=3).num_pieces >= 1
+
+
+def _send_raw_body(address, body: bytes) -> bytes:
+    """Send one frame around ``body``; return the single reply body and
+    check the peer then closes the connection."""
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(struct.pack(">I", len(body)) + body)
+        stream = sock.makefile("rb")
+        length = parse_frame_length(stream.read(4))
+        reply = stream.read(length)
+        assert len(reply) == length
+        assert stream.read(1) == b""  # one reply, then the stream closes
+    return reply
