@@ -16,7 +16,7 @@ runtime earns its keep.  ``REPRO_BENCH_SMOKE=1`` shrinks the workload to a
 seconds-fast path-exercise (used by CI) and skips the speedup floor, which
 is only meaningful at full size.
 
-Experiment OBS rides the same workload on the serial executor and flips
+Experiment OBS rides the same workload in process and flips
 deep telemetry (:func:`repro.telemetry.set_enabled`) between passes: the
 per-round BFS phase timers and histogram observations must cost <= 5% of
 throughput when enabled and leave assignments bit-identical, and the
@@ -49,7 +49,7 @@ from repro.telemetry import metrics as _metrics
 from common import Table, bench_scale, emit_bench_json
 
 #: Strategies the RT table reports, baseline first.
-RT_EXECUTORS = ("pickle", "process", "shared")
+RT_EXECUTORS = ("pickle", "shared")
 
 
 def _smoke() -> bool:

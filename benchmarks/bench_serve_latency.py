@@ -5,7 +5,7 @@ result cache is warm, answering a repeat request costs a frame round trip
 and a cache lookup — not a decomposition.  This experiment times the same
 request set three ways:
 
-- ``direct`` — per-request ``decompose_many()`` (serial executor), the
+- ``direct`` — per-request ``decompose_many()`` in process, the
   cost of not having a server at all;
 - ``cold`` — first pass through a freshly started server: frame + pool
   execution per request;
@@ -73,15 +73,13 @@ def test_serve_latency():
         for seed in range(seeds_per_beta)
     ]
 
-    # Direct baseline: one decompose_many() per request, serial executor —
+    # Direct baseline: one in-process decompose_many() per request —
     # the per-request cost of calling the engine instead of the server.
     direct_lat: list[float] = []
     direct_arrays: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
     for beta, seed in configs:
         start = time.perf_counter()
-        batch = decompose_many(
-            graph, beta, seeds=[seed], executor="serial"
-        )
+        batch = decompose_many(graph, beta, seeds=[seed], max_workers=1)
         direct_lat.append(time.perf_counter() - start)
         decomposition = batch.results[0].decomposition
         direct_arrays[(beta, seed)] = (

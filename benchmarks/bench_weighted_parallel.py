@@ -1,27 +1,13 @@
-"""Experiments W, PAR, DIR — weighted extension, parallel backend and
-direction-optimising BFS.
-
-- W:   §6 weighted decomposition — weighted cut fraction tracks β, radii
-       bounded by δ_max (weighted distance).
-- PAR: the multiprocessing backend is bit-identical to the vectorised
-       engine (the substitution-soundness check from DESIGN.md) and its
-       rounds match exactly.
-- DIR: direction-optimising BFS [8] — arcs examined vs plain top-down on
-       low-diameter graphs (the regime the decomposition operates in).
-"""
+"""Experiment W — the §6 weighted extension: weighted cut fraction tracks
+β, radii bounded by δ_max (weighted distance)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.bfs.delayed import delayed_multisource_bfs
-from repro.bfs.direction import direction_optimizing_bfs
-from repro.bfs.frontier import frontier_bfs
-from repro.bfs.parallel_mp import ParallelBFSEngine
-from repro.core.shifts import sample_shifts
 from repro.core.weighted import partition_weighted
-from repro.graphs.generators import erdos_renyi, grid_2d, hypercube
+from repro.graphs.generators import grid_2d
 from repro.graphs.weighted import uniform_weights, weighted_from_edges
 
 from common import Table, run_batch
@@ -68,68 +54,3 @@ class TestWeightedExtension:
     def test_weighted_timing(self, benchmark):
         graph = uniform_weights(grid_2d(15, 15))
         benchmark(lambda: partition_weighted(graph, 0.2, seed=0))
-
-
-class TestParallelBackend:
-    def test_mp_backend_identical_and_round_matched(self):
-        graph = grid_2d(20, 20)
-        table = Table(
-            "PAR: serial vs multiprocessing backend (grid 20x20)",
-            ["beta", "rounds_serial", "rounds_mp", "identical"],
-        )
-        with ParallelBFSEngine(graph, num_workers=2) as engine:
-            for beta in (0.1, 0.3):
-                shifts = sample_shifts(graph.num_vertices, beta, seed=7)
-                serial = delayed_multisource_bfs(
-                    graph, shifts.start_time, tie_key=shifts.tie_key
-                )
-                par = engine.partition_delayed(
-                    shifts.start_time, tie_key=shifts.tie_key
-                )
-                identical = bool(
-                    np.array_equal(serial.center, par.center)
-                    and np.array_equal(serial.hops, par.hops)
-                )
-                table.add(beta, serial.num_rounds, par.num_rounds, identical)
-                assert identical
-                assert serial.num_rounds == par.num_rounds
-        table.show()
-
-    def test_mp_backend_timing(self, benchmark):
-        graph = grid_2d(15, 15)
-        shifts = sample_shifts(graph.num_vertices, 0.2, seed=1)
-        with ParallelBFSEngine(graph, num_workers=2) as engine:
-            benchmark(
-                lambda: engine.partition_delayed(
-                    shifts.start_time, tie_key=shifts.tie_key
-                )
-            )
-
-
-class TestDirectionOptimizing:
-    def test_arcs_examined_on_low_diameter_graphs(self):
-        table = Table(
-            "DIR: arcs examined, top-down vs direction-optimising",
-            ["graph", "td_work", "dir_work", "bu_rounds", "savings"],
-        )
-        for name, graph in [
-            ("hypercube 10", hypercube(10)),
-            ("er n=2000", erdos_renyi(2000, 0.004, seed=2)),
-        ]:
-            td = frontier_bfs(graph, np.asarray([0]))
-            opt = direction_optimizing_bfs(graph, 0)
-            np.testing.assert_array_equal(td.dist, opt.dist)
-            bu_rounds = opt.directions.count("bu")
-            table.add(
-                name,
-                td.work,
-                opt.work,
-                bu_rounds,
-                1.0 - opt.work / td.work,
-            )
-            assert bu_rounds >= 1  # the switch engages in this regime
-        table.show()
-
-    def test_direction_bfs_timing(self, benchmark):
-        graph = hypercube(10)
-        benchmark(lambda: direction_optimizing_bfs(graph, 0))

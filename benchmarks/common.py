@@ -116,13 +116,13 @@ def mean_and_sem(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1) / np.sqrt(arr.size))
 
 
-def run_batch(graph, beta, *, method="auto", seeds=8, executor="serial", **options):
+def run_batch(graph, beta, *, method="auto", seeds=8, **options):
     """Multi-seed runs for benchmark statistics, via the batch engine.
 
     Thin wrapper over :func:`repro.core.decompose_many` replacing the old
-    hand-rolled ``for seed in range(...)`` loops.  Serial by default: the
-    benchmark problem sizes are small enough that process-pool spin-up would
-    dominate, and seed-determinism makes the executors interchangeable.
+    hand-rolled ``for seed in range(...)`` loops.  In process: the
+    benchmark problem sizes are small enough that pool spin-up would
+    dominate, and seed-determinism makes pooled runs identical anyway.
     Returns the :class:`repro.core.BatchResult`; per-statistic arrays come
     from ``result.values(key)`` and per-run traces from
     ``result.runs[i].result.trace``.
@@ -130,5 +130,5 @@ def run_batch(graph, beta, *, method="auto", seeds=8, executor="serial", **optio
     from repro.core.engine import decompose_many
 
     return decompose_many(
-        graph, beta, method=method, seeds=seeds, executor=executor, **options
+        graph, beta, method=method, seeds=seeds, max_workers=1, **options
     )

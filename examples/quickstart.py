@@ -54,8 +54,10 @@ def main() -> None:
     print(f"radius within certificate:  {report.radius_within_certificate}")
 
     # Theorem 1.2 holds with constant probability per run, so real studies
-    # repeat over seeds — decompose_many batches that (optionally on a
-    # process pool) and aggregates mean/std statistics.
+    # repeat over seeds — decompose_many batches that (on the shared-memory
+    # worker pool when more than one CPU is available, with results
+    # bit-identical to the in-process loop) and aggregates mean/std
+    # statistics.
     batch = decompose_many(graph, beta, seeds=8)
     agg = batch.aggregate()
     print(f"\nover {int(agg['num_runs'])} seeds: "

@@ -20,9 +20,9 @@ multi-seed or multi-graph runs go through its companion::
     batch = decompose_many(grid_2d(100, 100), beta=0.05, seeds=8)
     print(batch.aggregate())          # mean/std of cut fraction, radius, ...
 
-For serving many decompositions of the same graphs, the shared-memory batch
-runtime keeps the graphs resident and streams requests to persistent
-workers (``decompose_many(..., executor="shared")`` routes through it)::
+With more than one worker available, ``decompose_many`` runs its batch on
+the shared-memory batch runtime, which keeps the graphs resident and
+streams requests to persistent workers; it can also be driven directly::
 
     from repro.runtime import DecompositionPool
 
@@ -41,10 +41,6 @@ in-flight request coalescing::
         with ServeClient(*server.address) as client:
             digest = client.upload(grid_2d(100, 100))
             result = client.decompose(digest, beta=0.05, seed=0)
-
-The older ``partition(graph, beta)`` facade still works but is deprecated
-(each call emits a ``DeprecationWarning``) — see
-:mod:`repro.core.partition` and CHANGES.md.
 
 Package layout (see DESIGN.md for the full inventory):
 
@@ -78,7 +74,6 @@ from repro.core.engine import (
     decompose,
     decompose_many,
 )
-from repro.core.partition import partition
 
 # Stdlib library-logging convention: silent unless the application
 # configures handlers (the CLI's --verbose does).
@@ -88,7 +83,6 @@ __all__ = [
     "__version__",
     "decompose",
     "decompose_many",
-    "partition",
     "PartitionResult",
     "BatchResult",
 ]

@@ -1,6 +1,5 @@
 """Breadth-first-search engines: sequential oracle, vectorised frontier,
-delayed-start shifted BFS, direction-optimising variant, Dijkstra references,
-and the multiprocessing backend."""
+delayed-start shifted BFS, and Dijkstra references."""
 
 from repro.bfs.delayed import (
     DelayedBFSResult,
@@ -14,13 +13,11 @@ from repro.bfs.dijkstra import (
     dijkstra_multisource,
     shifted_integer_dijkstra,
 )
-from repro.bfs.direction import DirectionBFSResult, direction_optimizing_bfs
 from repro.bfs.frontier import (
     FrontierBFSResult,
     frontier_bfs,
     gather_frontier_arcs,
 )
-from repro.bfs.parallel_mp import ParallelBFSEngine, delayed_multisource_bfs_mp
 from repro.bfs.sequential import (
     BFSResult,
     bfs,
@@ -46,8 +43,4 @@ __all__ = [
     "dijkstra",
     "dijkstra_multisource",
     "shifted_integer_dijkstra",
-    "DirectionBFSResult",
-    "direction_optimizing_bfs",
-    "ParallelBFSEngine",
-    "delayed_multisource_bfs_mp",
 ]

@@ -6,8 +6,9 @@ Subcommands
     Decompose a generated graph (optionally lifted to weighted edges via
     ``--weights``) through the unified engine and print the summary.
     ``--option key=value`` forwards validated per-method options;
-    ``--reps N`` fans N seeds out through ``decompose_many`` and prints the
-    per-run table plus the aggregate.
+    ``--reps N`` fans N seeds out through ``decompose_many`` (on the worker
+    pool when ``--workers`` allows more than one) and prints the per-run
+    table plus the aggregate.
 ``render``
     Reproduce a Figure 1 panel: decompose a grid and write a PPM image.
 ``sweep``
@@ -16,9 +17,9 @@ Subcommands
     over several seeds.
 ``bench-throughput``
     Serve the same multi-seed request stream through the shared-memory
-    batch runtime and the pickling executors, printing requests/sec, the
-    speedup over the baseline, and whether every strategy produced
-    bit-identical assignments.
+    batch runtime, a per-task pickling pool and the in-process loop,
+    printing requests/sec, the speedup over the baseline, and whether
+    every strategy produced bit-identical assignments.
 ``serve``
     Run the decomposition service (:mod:`repro.serve`): an asyncio
     JSON-over-TCP server with a content-addressed graph store, memoizing
@@ -97,7 +98,8 @@ def _add_config_args(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="process-pool width (default: CPU count)",
+        help="worker-pool width (default: CPU count; sweep runs in "
+        "process unless given)",
     )
 
 
@@ -109,13 +111,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="repetitions over consecutive seeds via the batch engine",
-    )
-    parser.add_argument(
-        "--executor",
-        choices=("auto", "process", "serial", "shared"),
-        default="auto",
-        help="batch executor for --reps > 1 ('shared' is the "
-        "shared-memory batch runtime)",
     )
 
 
@@ -195,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bt.add_argument(
         "--executors",
         default="pickle,shared",
-        help="comma-separated strategies: serial, pickle, process, shared "
+        help="comma-separated strategies: serial, pickle, shared "
         "(the first is the speedup baseline)",
     )
     p_bt.add_argument(
@@ -595,7 +590,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             method=args.method,
             seeds=range(args.seed, args.seed + args.reps),
             validate=args.validate,
-            executor=args.executor,
             max_workers=args.workers,
             **options,
         )
@@ -664,10 +658,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     graph = _build_graph(args)
     options = _parse_options(graph, args.method, args.option)
     betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]
-    # One decompose_many per β row: with "auto" a fresh process pool per row
-    # would cost more than the row's runs, so the sweep defaults to serial
-    # (pass --executor process to force pooling).
-    executor = "serial" if args.executor == "auto" else args.executor
+    # One decompose_many per β row: a fresh worker pool per row would cost
+    # more than the row's runs, so the sweep stays in process unless
+    # --workers asks for a pool.
+    workers = 1 if args.workers is None else args.workers
     header = (
         f"{'beta':>8} {'pieces':>8} {'max_rad':>8} {'cut_frac':>10} "
         f"{'cut/beta':>9} {'rounds':>7}"
@@ -683,8 +677,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             beta,
             method=args.method,
             seeds=range(args.seed, args.seed + args.reps),
-            executor=executor,
-            max_workers=args.workers,
+            max_workers=workers,
             **options,
         )
         agg = batch.aggregate()

@@ -66,7 +66,7 @@ from repro.serve.protocol import (
     peek_frame_fields,
     restamp_frame,
 )
-from repro.serve.server import upload_builder
+from repro.serve.server import close_listener, upload_builder
 from repro.telemetry import (
     MetricsRegistry,
     merge_snapshots,
@@ -524,8 +524,7 @@ class ClusterRouter:
             self._stop_event.set()
         server, self._server = self._server, None
         if server is not None:
-            server.close()
-            await server.wait_closed()
+            await close_listener(server)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -555,8 +554,11 @@ class ClusterRouter:
             )
 
     async def _handle_connection(self, reader, writer) -> None:
+        # Registered until the task is done, i.e. after its socket closed,
+        # so aclose() waits out every handler's teardown.
         task = asyncio.current_task()
         self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
         self._connections += 1
         write_lock = asyncio.Lock()
         request_tasks: set[asyncio.Task] = set()
@@ -637,11 +639,12 @@ class ClusterRouter:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            for request in list(request_tasks):
+            requests = list(request_tasks)
+            for request in requests:
                 request.cancel()
-            self._conn_tasks.discard(task)
             writer.close()
             try:
+                await asyncio.gather(*requests, return_exceptions=True)
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass

@@ -13,9 +13,7 @@ from repro.core.ldd_blelloch import partition_blelloch
 from repro.core.ldd_exact import partition_exact, partition_exact_with_shifts
 from repro.core.ldd_sequential import partition_sequential
 from repro.core.ldd_uniform import partition_uniform
-from repro.core.partition import partition
 from repro.core.registry import (
-    PARTITION_METHODS,
     MethodSpec,
     OptionSpec,
     get_method,
@@ -46,7 +44,6 @@ __all__ = [
     "Decomposition",
     "PartitionTrace",
     "PartitionResult",
-    "PARTITION_METHODS",
     "BatchResult",
     "BatchRun",
     "MethodSpec",
@@ -57,7 +54,6 @@ __all__ = [
     "iter_methods",
     "method_names",
     "register_method",
-    "partition",
     "partition_bfs",
     "partition_bfs_with_shifts",
     "partition_exact",

@@ -16,12 +16,12 @@ for every decomposition algorithm:
   which skips the unweighted-only hop invariant for weighted inputs).
 
 ``decompose_many`` is the batched companion: it fans one configuration out
-across seeds and/or graphs — serially, on a legacy process pool, or on the
-shared-memory batch runtime (:mod:`repro.runtime`), where graphs are loaded
-into ``multiprocessing.shared_memory`` once and workers attach zero-copy —
-and returns the per-run results together with aggregate mean/std
-statistics.  Because every run is keyed by an explicit integer seed, every
-executor is bit-identical to the serial loop (pinned by
+across seeds and/or graphs — in process, or on the shared-memory batch
+runtime (:mod:`repro.runtime`) when more than one worker is available,
+where graphs are loaded into ``multiprocessing.shared_memory`` once and
+workers attach zero-copy — and returns the per-run results together with
+aggregate mean/std statistics.  Because every run is keyed by an explicit
+integer seed, pooled runs are bit-identical to in-process ones (pinned by
 ``tests/test_conformance.py``); repetition loops in benchmarks and the
 CLI's ``--reps`` are thin wrappers over it.
 """
@@ -228,7 +228,7 @@ class BatchResult:
         return [run.result for run in self.runs]
 
     def summaries(self) -> list[dict[str, float | str]]:
-        """Per-run summary dicts, in task order (stable across executors).
+        """Per-run summary dicts, in task order (pooled or not).
 
         Cheap to call repeatedly: each decomposition computes its statistics
         once (pooled runs arrive with them computed by the worker), so a
@@ -274,29 +274,6 @@ def _normalise_graphs(graphs) -> list[CSRGraph]:
     return out
 
 
-# Worker-process state for the batch pool: the task payload (graphs
-# included) is shipped once per worker through the initializer instead of
-# once per task through every submit.
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _init_batch_worker(graphs, beta, method, validate, options) -> None:
-    _WORKER_STATE["batch"] = (graphs, beta, method, validate, options)
-
-
-def _run_batch_task(task: tuple[int, int]) -> PartitionResult:
-    graph_index, seed = task
-    graphs, beta, method, validate, options = _WORKER_STATE["batch"]
-    return decompose(
-        graphs[graph_index],
-        beta,
-        method=method,
-        seed=seed,
-        validate=validate,
-        **options,
-    )
-
-
 def decompose_many(
     graphs: CSRGraph | Sequence[CSRGraph],
     beta: float,
@@ -304,7 +281,6 @@ def decompose_many(
     method: str = "auto",
     seeds: int | Iterable[int] = 8,
     validate: bool = False,
-    executor: str = "auto",
     max_workers: int | None = None,
     **options: object,
 ) -> BatchResult:
@@ -322,31 +298,26 @@ def decompose_many(
         An integer ``k`` (runs seeds ``0..k−1``) or an explicit iterable of
         integer seeds.  Integer seeds are required — they are what makes the
         pooled execution reproducible and identical to the serial one.
-    executor:
-        ``"shared"`` (persistent worker pool attached to shared-memory
-        resident graphs — the :mod:`repro.runtime` batch runtime),
-        ``"process"`` (legacy pool shipping graphs once per worker through
-        pickle), ``"serial"`` (in-process loop), or ``"auto"`` (the shared
-        runtime when more than one worker and more than one run are
-        available, serial otherwise).
     max_workers:
-        Concurrency bound for the pool; defaults to ``min(num runs, CPU
-        count)``.
+        Worker bound, ``>= 1``; defaults to the CPU count.  With more than
+        one worker and more than one run the batch runs on a
+        :class:`~repro.runtime.pool.DecompositionPool` (graphs resident in
+        shared memory, persistent workers); otherwise it runs in process.
+        If the pool cannot start (no ``/dev/shm``, a sandbox forbidding
+        subprocesses) the batch warns once (``RuntimeWarning``) and runs
+        in process.
 
     Returns
     -------
     BatchResult
         Per-run results in task order plus mean/std aggregates.  Task order
-        — hence every per-seed summary — is independent of the executor,
-        and per-seed results are bit-identical across all of them.
+        — hence every per-seed summary — is independent of where the runs
+        executed, and per-seed results are bit-identical either way.
     """
     graph_list = _normalise_graphs(graphs)
     seed_list = _normalise_seeds(seeds)
-    if executor not in ("auto", "process", "serial", "shared"):
-        raise ParameterError(
-            f"unknown executor {executor!r}; "
-            "choices: ['auto', 'process', 'serial', 'shared']"
-        )
+    if max_workers is not None and max_workers < 1:
+        raise ParameterError(f"max_workers must be >= 1, got {max_workers}")
     # Validate the configuration once, up front: a bad method/option fails
     # here with the registry's message instead of inside N pool workers.
     for graph in graph_list:
@@ -358,33 +329,24 @@ def decompose_many(
     ]
 
     workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
-    workers = max(1, min(int(workers), len(tasks)))
+    workers = min(int(workers), len(tasks))
 
-    results: list[PartitionResult] | None = None
-    if executor == "process":
+    results = None
+    if workers > 1:
         results = _run_pool(
-            graph_list, beta, method, validate, options, tasks, workers,
-            strict=True,
+            graph_list, beta, method, validate, options, tasks, workers
         )
-    elif executor == "shared" or (executor == "auto" and workers > 1):
-        results = _run_shared(
-            graph_list, beta, method, validate, options, tasks, workers,
-            strict=executor == "shared",
-        )
-        if results is None:
-            # auto degrades gracefully: no shared memory (tiny /dev/shm,
-            # say) does not mean no parallelism — the pickling pool may
-            # still work; only if that fails too does the batch go serial.
-            results = _run_pool(
-                graph_list, beta, method, validate, options, tasks,
-                workers, strict=False,
-            )
     if results is None:
         results = [
-            _run_serial_task(
-                graph_list, beta, method, validate, options, task
+            decompose(
+                graph_list[graph_index],
+                beta,
+                method=method,
+                seed=seed,
+                validate=validate,
+                **options,
             )
-            for task in tasks
+            for graph_index, seed in tasks
         ]
     runs = tuple(
         BatchRun(graph_index=gi, seed=seed, result=result)
@@ -393,63 +355,17 @@ def decompose_many(
     return BatchResult(runs=runs)
 
 
-def _run_serial_task(
-    graphs, beta, method, validate, options, task
-) -> PartitionResult:
-    graph_index, seed = task
-    return decompose(
-        graphs[graph_index],
-        beta,
-        method=method,
-        seed=seed,
-        validate=validate,
-        **options,
-    )
-
-
 def _run_pool(
-    graphs, beta, method, validate, options, tasks, workers, *, strict
+    graphs, beta, method, validate, options, tasks, workers
 ) -> list[PartitionResult] | None:
-    """Run the batch on a process pool; ``None`` means "fall back to serial".
-
-    Pool-infrastructure failures (a sandbox that forbids subprocesses, a
-    worker killed by the OS) fall back when ``strict`` is false; exceptions
-    raised by the runs themselves always propagate.
-    """
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_batch_worker,
-            initargs=(graphs, beta, method, validate, options),
-        ) as pool:
-            return list(pool.map(_run_batch_task, tasks))
-    except (BrokenProcessPool, OSError, PermissionError) as exc:
-        if strict:
-            raise
-        warnings.warn(
-            f"process pool unavailable ({exc!r}); running the batch "
-            "serially",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-
-
-def _run_shared(
-    graphs, beta, method, validate, options, tasks, workers, *, strict
-) -> list[PartitionResult] | None:
-    """Run the batch on the shared-memory runtime (``None`` = fall back).
+    """Run the batch on the shared-memory pool (``None`` = run in process).
 
     Routes through :class:`repro.runtime.pool.DecompositionPool`: graphs go
     into shared memory once, workers attach once, and each task crosses the
     process boundary as a tiny request.  Infrastructure failures (no
     ``/dev/shm``, a sandbox forbidding subprocesses, a worker killed by the
-    OS) return ``None`` when ``strict`` is false — the ``auto`` caller then
-    tries the pickling pool before degrading to serial — while exceptions
-    raised by the runs themselves always propagate.
+    OS) warn and return ``None``; exceptions raised by the runs themselves
+    always propagate.
     """
     from concurrent.futures.process import BrokenProcessPool
 
@@ -471,12 +387,10 @@ def _run_shared(
                 )
                 for graph_index, seed in tasks
             )
-    except (BrokenProcessPool, OSError, PermissionError) as exc:
-        if strict:
-            raise
+    except (BrokenProcessPool, OSError) as exc:
         warnings.warn(
-            f"shared-memory runtime unavailable ({exc!r}); falling back "
-            "to the pickling process pool",
+            f"decomposition pool unavailable ({exc!r}); running the batch "
+            "in process",
             RuntimeWarning,
             stacklevel=3,
         )

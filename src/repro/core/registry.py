@@ -15,15 +15,11 @@ needs for dispatch and validation without importing the engine:
 
 New algorithms — the MPX spanner/hopset line, batched variants — plug in by
 decorating their entry point; no engine or CLI change is needed.
-
-:data:`PARTITION_METHODS`, historically a hand-written dict, is now a live
-read-only view over the registry restricted to methods that accept
-unweighted graphs, preserving the old ``name -> description`` contract.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -41,7 +37,6 @@ __all__ = [
     "method_names",
     "iter_methods",
     "describe_methods",
-    "PARTITION_METHODS",
 ]
 
 #: Graph kinds a method may declare support for.
@@ -324,36 +319,3 @@ def describe_methods(graph_kind: str | None = None) -> list[dict]:
         }
         for spec in iter_methods(graph_kind)
     ]
-
-
-class _MethodsView(Mapping):
-    """Read-only ``name -> description`` mapping over the registry.
-
-    Filtered to one graph kind so :data:`PARTITION_METHODS` keeps its
-    historical contract (exactly the methods ``partition``/``decompose``
-    accept for plain :class:`~repro.graphs.csr.CSRGraph` inputs) while
-    staying automatically in sync with registrations.
-    """
-
-    def __init__(self, graph_kind: str) -> None:
-        self._graph_kind = graph_kind
-
-    def __getitem__(self, name: str) -> str:
-        spec = _REGISTRY.get(name)
-        if spec is None or not spec.supports(self._graph_kind):
-            raise KeyError(name)
-        return spec.description
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(method_names(self._graph_kind))
-
-    def __len__(self) -> int:
-        return len(method_names(self._graph_kind))
-
-    def __repr__(self) -> str:
-        return f"_MethodsView({dict(self)!r})"
-
-
-#: Methods accepting unweighted graphs, as a live ``name -> description``
-#: view (the CLI's ``methods`` listing and the docs iterate this).
-PARTITION_METHODS: Mapping[str, str] = _MethodsView("unweighted")

@@ -12,11 +12,11 @@ The serving layer the ROADMAP's batching/throughput goals build on:
   graphs can be registered/unregistered on the live pool (the
   decomposition service :mod:`repro.serve` builds on this);
 - :mod:`repro.runtime.throughput` — request/second measurement comparing
-  the runtime against per-task pickling executors (the ``RT`` benchmark
-  and the CLI's ``bench-throughput`` subcommand).
+  the runtime against a per-task pickling pool and the in-process loop
+  (the ``RT`` benchmark and the CLI's ``bench-throughput`` subcommand).
 
-``decompose_many(..., executor="shared")`` routes through this package; see
-DESIGN.md §6 for the architecture.
+``decompose_many`` runs its batches on this package's pool whenever more
+than one worker is available; see DESIGN.md §6 for the architecture.
 """
 
 from repro.runtime.pool import DecompositionPool, DecompositionRequest

@@ -10,8 +10,6 @@ resident graph?  Strategies measured:
   the pickle stream and ships the full result (graph included) back: the
   naive per-task pickling executor the acceptance criterion compares
   against;
-- ``process`` — the engine's legacy pool (graph pickled once per worker via
-  the initializer, results shipped back whole);
 - ``shared`` — the :class:`~repro.runtime.pool.DecompositionPool` runtime:
   graph resident in shared memory, tiny requests, slim results.
 
@@ -27,7 +25,7 @@ import time
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
-from repro.core.engine import PartitionResult, decompose, decompose_many
+from repro.core.engine import PartitionResult, decompose
 from repro.core.weighted import WeightedDecomposition
 from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
@@ -36,7 +34,7 @@ from repro.runtime.pool import DecompositionPool, DecompositionRequest
 __all__ = ["THROUGHPUT_EXECUTORS", "ThroughputRecord", "measure_throughput"]
 
 #: Strategies measure_throughput knows how to run.
-THROUGHPUT_EXECUTORS = ("serial", "pickle", "process", "shared")
+THROUGHPUT_EXECUTORS = ("serial", "pickle", "shared")
 
 
 @dataclass(frozen=True)
@@ -91,19 +89,6 @@ def _run_pickle(graph, beta, method, seeds, options, workers):
         return list(pool.map(_pickle_task, payloads))
 
 
-def _run_process(graph, beta, method, seeds, options, workers):
-    batch = decompose_many(
-        graph,
-        beta,
-        method=method,
-        seeds=seeds,
-        executor="process",
-        max_workers=workers,
-        **options,
-    )
-    return batch.results
-
-
 def _run_shared(graph, beta, method, seeds, options, workers):
     with DecompositionPool({"g": graph}, max_workers=workers) as pool:
         return pool.run(
@@ -121,7 +106,6 @@ def _run_shared(graph, beta, method, seeds, options, workers):
 _RUNNERS = {
     "serial": _run_serial,
     "pickle": _run_pickle,
-    "process": _run_process,
     "shared": _run_shared,
 }
 

@@ -207,6 +207,10 @@ class _Connection:
         except asyncio.CancelledError:
             self._fail_pending(ServeError("connection closed"))
             raise
+        finally:
+            # A dead connection is dropped from the pool without close();
+            # release its socket here.
+            self._writer.close()
 
     def _fail_pending(self, exc: ServeError) -> None:
         self._closed = True

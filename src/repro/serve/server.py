@@ -84,7 +84,12 @@ from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
 from repro.telemetry.metrics import COUNT_BUCKETS, render_prometheus
 
-__all__ = ["DecompositionServer", "serve_background", "upload_builder"]
+__all__ = [
+    "DecompositionServer",
+    "close_listener",
+    "serve_background",
+    "upload_builder",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -94,6 +99,26 @@ _UPLOAD_CLASSES: dict[str, tuple[str, ...]] = {
     "CSRGraph": ("indptr", "indices"),
     "WeightedCSRGraph": ("indptr", "indices", "weights"),
 }
+
+
+async def close_listener(server: asyncio.AbstractServer) -> None:
+    """Stop accepting, let the accepts in flight land, then close.
+
+    Closing an ``asyncio`` server while an accepted socket is still being
+    wrapped in its transport fails inside asyncio (``Server._attach``
+    asserts on 3.11) and leaks that socket unclosed.  Taking the listening
+    sockets off the loop first stops new accepts; three loop turns then
+    carry each accept already in flight through transport creation,
+    ``connection_made`` and its handler's first step, so the handler is
+    registered for the caller's connection drain.
+    """
+    loop = asyncio.get_running_loop()
+    for sock in server.sockets:
+        loop.remove_reader(sock.fileno())
+    for _ in range(3):
+        await asyncio.sleep(0)
+    server.close()
+    await server.wait_closed()
 
 
 def upload_builder(message: dict):
@@ -503,8 +528,7 @@ class DecompositionServer:
             self._stop_event.set()
         server, self._server = self._server, None
         if server is not None:
-            server.close()
-            await server.wait_closed()
+            await close_listener(server)
         for task in list(self._conn_tasks):
             task.cancel()
         if self._conn_tasks:
@@ -553,8 +577,11 @@ class DecompositionServer:
             )
 
     async def _handle_connection(self, reader, writer) -> None:
+        # Registered until the task is done, i.e. after its socket closed,
+        # so aclose() waits out every handler's teardown.
         task = asyncio.current_task()
         self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
         self._connections += 1
         write_lock = asyncio.Lock()
         request_tasks: set[asyncio.Task] = set()
@@ -617,11 +644,12 @@ class DecompositionServer:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
-            for request in list(request_tasks):
+            requests = list(request_tasks)
+            for request in requests:
                 request.cancel()
-            self._conn_tasks.discard(task)
             writer.close()
             try:
+                await asyncio.gather(*requests, return_exceptions=True)
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass

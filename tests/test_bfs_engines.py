@@ -1,4 +1,4 @@
-"""Unit tests for the BFS engines (sequential, frontier, direction)."""
+"""Unit tests for the BFS engines (sequential, frontier)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.bfs.direction import direction_optimizing_bfs
 from repro.bfs.frontier import frontier_bfs, gather_frontier_arcs
 from repro.bfs.sequential import (
     bfs,
@@ -157,49 +156,3 @@ class TestFrontierBFS:
     def test_bad_sources(self):
         with pytest.raises(ParameterError):
             frontier_bfs(path_graph(3), np.asarray([7]))
-
-
-class TestDirectionOptimizingBFS:
-    @pytest.mark.parametrize(
-        "graph_fn",
-        [
-            lambda: grid_2d(8, 8),
-            lambda: hypercube(6),
-            lambda: erdos_renyi(150, 0.05, seed=4),
-            lambda: complete_graph(12),
-            lambda: path_graph(30),
-        ],
-    )
-    def test_distances_match_plain_bfs(self, graph_fn):
-        g = graph_fn()
-        seq = bfs(g, 0)
-        opt = direction_optimizing_bfs(g, 0)
-        np.testing.assert_array_equal(seq.dist, opt.dist)
-
-    def test_bottom_up_kicks_in_on_fat_frontier(self):
-        # A hypercube's mid-levels hold most vertices: the classic shape
-        # where the frontier's arc volume crosses the Beamer threshold.
-        g = hypercube(8)
-        res = direction_optimizing_bfs(g, 0)
-        assert "bu" in res.directions
-
-    def test_stays_top_down_with_tiny_alpha(self):
-        # Small alpha raises the switch threshold m_unexplored/alpha beyond
-        # reach, pinning the search to top-down rounds.
-        g = path_graph(40)
-        res = direction_optimizing_bfs(g, 0, alpha=1e-9)
-        assert set(res.directions) == {"td"}
-
-    def test_parent_valid_in_bottom_up_rounds(self):
-        g = hypercube(6)
-        res = direction_optimizing_bfs(g, 0)
-        for v in range(g.num_vertices):
-            if res.dist[v] > 0:
-                assert g.has_edge(int(res.parent[v]), v)
-                assert res.dist[res.parent[v]] == res.dist[v] - 1
-
-    def test_bad_params(self):
-        with pytest.raises(ParameterError):
-            direction_optimizing_bfs(path_graph(3), 0, alpha=0)
-        with pytest.raises(ParameterError):
-            direction_optimizing_bfs(path_graph(3), np.asarray([9]))

@@ -86,6 +86,29 @@ class TestDecompose:
         doc = json.loads(capsys.readouterr().out)
         assert doc["method"] == "sequential-ball-growing"
 
+    REPS = ["decompose", "--graph", "grid:12x12", "--beta", "0.2",
+            "--reps", "3", "--json"]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_reps_on_the_pool_match_in_process(self, capsys):
+        def runs(workers):
+            assert main(self.REPS + ["--workers", workers]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            for run in doc["runs"]:
+                del run["wall_time_s"]
+            return doc["runs"]
+
+        assert runs("2") == runs("1")
+
+    def test_bad_worker_count_is_cli_error(self, capsys):
+        assert main(self.REPS + ["--workers", "0"]) == 2
+        assert "max_workers must be >= 1" in capsys.readouterr().err
+
+    def test_executor_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(self.REPS + ["--executor", "shared"])
+        assert exc.value.code == 2
+
 
 class TestRender:
     def test_writes_ppm(self, tmp_path, capsys):

@@ -657,6 +657,12 @@ class TestBatchFaultInjection:
         loop_holder: dict = {}
 
         async def serve_conn(reader, writer):
+            try:
+                await answer_uploads_only(reader, writer)
+            finally:
+                writer.close()
+
+        async def answer_uploads_only(reader, writer):
             while True:
                 try:
                     header = await reader.readexactly(4)

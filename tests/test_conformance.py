@@ -1,13 +1,13 @@
-"""Differential conformance: serial ≡ pooled ≡ shared-memory runtime.
+"""Differential conformance: serial ≡ shared-memory pool.
 
 The batch runtime's core guarantee is that *where* a decomposition runs
 never changes *what* it computes: for every registered method, seed and
-graph family, the serial ``decompose()``, the legacy pickling pool
-(``decompose_many(executor="process")``) and the shared-memory runtime
-(``executor="shared"`` / ``DecompositionPool``) must produce bit-identical
-assignment arrays.  Any drift — a worker sampling shifts from a different
-stream, a shared-memory view changing dtype or layout, a slim-result
-rehydration bug — fails here first.
+graph family, the in-process ``decompose_many(max_workers=1)`` and the
+shared-memory pool (``decompose_many(max_workers=2)`` /
+``DecompositionPool``) must produce bit-identical assignment arrays.  Any
+drift — a worker sampling shifts from a different stream, a shared-memory
+view changing dtype or layout, a slim-result rehydration bug — fails here
+first.
 
 The suite runs every unweighted method over several families and seeds and
 the weighted methods over weighted lifts of the same families, comparing
@@ -71,40 +71,33 @@ def _assert_identical(result_a, result_b, context: str):
 
 
 def _conformance_for(graphs: dict, method: str):
-    """serial vs process-pool vs shared runtime over families × SEEDS."""
+    """in process vs shared-memory pool over families × SEEDS."""
     graph_list = list(graphs.values())
     names = list(graphs)
     serial = decompose_many(
-        graph_list, BETA, method=method, seeds=SEEDS, executor="serial"
+        graph_list, BETA, method=method, seeds=SEEDS, max_workers=1
     )
     pooled = decompose_many(
-        graph_list, BETA, method=method, seeds=SEEDS,
-        executor="process", max_workers=2,
+        graph_list, BETA, method=method, seeds=SEEDS, max_workers=2
     )
-    shared = decompose_many(
-        graph_list, BETA, method=method, seeds=SEEDS,
-        executor="shared", max_workers=2,
-    )
-    for srun, prun, hrun in zip(serial.runs, pooled.runs, shared.runs):
+    for srun, prun in zip(serial.runs, pooled.runs):
         assert (srun.graph_index, srun.seed) == (prun.graph_index, prun.seed)
-        assert (srun.graph_index, srun.seed) == (hrun.graph_index, hrun.seed)
         context = (
             f"method={method} family={names[srun.graph_index]} "
             f"seed={srun.seed}"
         )
-        _assert_identical(
-            srun.result, prun.result, f"{context} [process pool]"
-        )
-        _assert_identical(
-            srun.result, hrun.result, f"{context} [shared runtime]"
-        )
+        _assert_identical(srun.result, prun.result, f"{context} [pool]")
 
 
+# A pool that failed to start would fall back to the in-process loop with a
+# RuntimeWarning and compare serial with serial; as an error it fails here.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", method_names("unweighted"))
 def test_unweighted_methods_conform(method):
     _conformance_for(FAMILIES, method)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("method", method_names("weighted"))
 def test_weighted_methods_conform(method):
     _conformance_for(WEIGHTED_FAMILIES, method)
@@ -135,23 +128,25 @@ def test_direct_pool_conforms_with_serial_across_methods():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validation_reports_survive_the_pool():
     """validate=True reports computed in workers equal serial ones."""
-    serial = decompose(FAMILIES["grid"], BETA, seed=2, validate=True)
     batch = decompose_many(
-        FAMILIES["grid"], BETA, seeds=[2], validate=True,
-        executor="shared", max_workers=1,
+        FAMILIES["grid"], BETA, seeds=[2, 3], validate=True, max_workers=2
     )
-    report = batch.runs[0].result.report
-    assert report is not None
-    assert report == serial.report
+    for run in batch.runs:
+        serial = decompose(
+            FAMILIES["grid"], BETA, seed=run.seed, validate=True
+        )
+        assert run.result.report is not None
+        assert run.result.report == serial.report
 
 
 # ---------------------------------------------------------------------------
 # python kernel ≡ native kernel
 #
 # The compiled extension is a second implementation of the same hot path;
-# like the executors above, *which kernel ran* must never change *what was
+# like the pool above, *which kernel ran* must never change *what was
 # computed*.  Skipped (not silently passed) when the extension is not built.
 # ---------------------------------------------------------------------------
 needs_native = pytest.mark.skipif(

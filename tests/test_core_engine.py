@@ -12,7 +12,6 @@ from repro.core.engine import (
     decompose_many,
     graph_kind,
 )
-from repro.core.partition import partition
 from repro.core.registry import method_names
 from repro.core.weighted import WeightedDecomposition
 from repro.errors import ParameterError
@@ -113,27 +112,10 @@ class TestWeightedThroughEngine:
         assert res.report.radius_within_certificate is None
 
 
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestFacadeCompatibility:
-    def test_partition_matches_decompose(self):
-        g = grid_2d(10, 10)
-        old = partition(g, 0.2, seed=7, validate=True)
-        new = decompose(g, 0.2, seed=7, validate=True)
-        np.testing.assert_array_equal(
-            old.decomposition.center, new.decomposition.center
-        )
-        assert old.summary() == new.summary()
-
-    def test_partition_default_method_is_bfs(self):
-        assert partition(grid_2d(6, 6), 0.4, seed=0).trace.method == (
-            "bfs-fractional"
-        )
-
-
 class TestDecomposeMany:
     def test_seed_count_and_order(self):
         batch = decompose_many(
-            grid_2d(8, 8), 0.3, seeds=4, executor="serial"
+            grid_2d(8, 8), 0.3, seeds=4, max_workers=1
         )
         assert isinstance(batch, BatchResult)
         assert [run.seed for run in batch.runs] == [0, 1, 2, 3]
@@ -142,7 +124,7 @@ class TestDecomposeMany:
     def test_explicit_seeds_and_multiple_graphs(self):
         graphs = [grid_2d(6, 6), path_graph(40)]
         batch = decompose_many(
-            graphs, 0.3, seeds=[5, 9], executor="serial"
+            graphs, 0.3, seeds=[5, 9], max_workers=1
         )
         assert [(r.graph_index, r.seed) for r in batch.runs] == [
             (0, 5), (0, 9), (1, 5), (1, 9),
@@ -150,7 +132,7 @@ class TestDecomposeMany:
 
     def test_aggregate_statistics(self):
         batch = decompose_many(
-            grid_2d(10, 10), 0.2, seeds=5, executor="serial"
+            grid_2d(10, 10), 0.2, seeds=5, max_workers=1
         )
         agg = batch.aggregate()
         assert agg["num_runs"] == 5.0
@@ -162,10 +144,8 @@ class TestDecomposeMany:
     def test_process_pool_matches_serial(self):
         """Seed determinism: pooled per-seed summaries == serial ones."""
         g = grid_2d(12, 12)
-        serial = decompose_many(g, 0.15, seeds=8, executor="serial")
-        pooled = decompose_many(
-            g, 0.15, seeds=8, executor="process", max_workers=2
-        )
+        serial = decompose_many(g, 0.15, seeds=8, max_workers=1)
+        pooled = decompose_many(g, 0.15, seeds=8, max_workers=2)
 
         def stable(batch):
             return [
@@ -177,13 +157,13 @@ class TestDecomposeMany:
 
     def test_mixed_weighted_and_unweighted_batch(self):
         graphs = [grid_2d(6, 6), uniform_weights(grid_2d(6, 6))]
-        batch = decompose_many(graphs, 0.3, seeds=2, executor="serial")
+        batch = decompose_many(graphs, 0.3, seeds=2, max_workers=1)
         methods = {run.summary()["method"] for run in batch.runs}
         assert methods == {"bfs-fractional", "weighted-dijkstra"}
 
     def test_validate_attaches_reports(self):
         batch = decompose_many(
-            grid_2d(6, 6), 0.3, seeds=2, validate=True, executor="serial"
+            grid_2d(6, 6), 0.3, seeds=2, validate=True, max_workers=1
         )
         assert all(r.report is not None for r in batch.results)
 
@@ -196,13 +176,13 @@ class TestDecomposeMany:
             decompose_many(grid_2d(6, 6), 0.3, seeds=[])
         with pytest.raises(ParameterError, match="at least one graph"):
             decompose_many([], 0.3, seeds=2)
-        with pytest.raises(ParameterError, match="unknown executor"):
-            decompose_many(grid_2d(6, 6), 0.3, seeds=2, executor="thread")
+        with pytest.raises(ParameterError, match="max_workers must be >= 1"):
+            decompose_many(grid_2d(6, 6), 0.3, seeds=2, max_workers=0)
 
     def test_options_forwarded_to_every_run(self):
         batch = decompose_many(
             grid_2d(6, 6), 0.3, seeds=2, method="bfs",
-            tie_break="permutation", executor="serial",
+            tie_break="permutation", max_workers=1,
         )
         assert all(
             run.summary()["method"] == "bfs-permutation"

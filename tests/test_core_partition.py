@@ -1,14 +1,13 @@
-"""Tests for the partition facade and the primary (BFS/exact) algorithms."""
+"""Tests for the primary (BFS/exact) partition algorithms."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import GraphError, ParameterError
+from repro.errors import GraphError
 from repro.core.ldd_bfs import partition_bfs, partition_bfs_with_shifts
 from repro.core.ldd_exact import partition_exact, partition_exact_with_shifts
-from repro.core.partition import PARTITION_METHODS, partition
 from repro.core.shifts import sample_shifts
 from repro.core.verify import verify_decomposition
 from repro.graphs.build import from_edges
@@ -112,61 +111,6 @@ class TestBFSExactEquivalence:
         d, t = partition_exact(small_grid, 0.2, seed=9)
         assert t.method == "exact-fractional"
         assert verify_decomposition(d).all_invariants_hold()
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-class TestFacade:
-    """The deprecated partition() facade keeps its historical behaviour.
-
-    The facade warns on every call (asserted in TestFacadeDeprecation);
-    these tests filter the warning to check behaviour in isolation.
-    """
-
-    @pytest.mark.parametrize("method", sorted(PARTITION_METHODS))
-    def test_every_method_produces_valid_output(self, method):
-        g = grid_2d(8, 8)
-        result = partition(g, 0.3, method=method, seed=11, validate=True)
-        assert result.report is not None
-        assert result.report.all_invariants_hold()
-        assert result.trace.beta == pytest.approx(0.3)
-
-    def test_unknown_method(self, small_grid):
-        with pytest.raises(ParameterError, match="unknown method"):
-            partition(small_grid, 0.5, method="nope")
-
-    def test_summary_merges_trace(self, small_grid):
-        result = partition(small_grid, 0.4, seed=12)
-        s = result.summary()
-        assert s["method"] == "bfs-fractional"
-        assert "rounds" in s and "cut_fraction" in s
-
-    def test_validate_off_by_default(self, small_grid):
-        assert partition(small_grid, 0.4, seed=13).report is None
-
-
-class TestFacadeDeprecation:
-    def test_partition_emits_deprecation_warning(self, small_grid):
-        with pytest.warns(DeprecationWarning, match="decompose"):
-            partition(small_grid, 0.3, seed=4)
-
-    def test_warned_result_identical_to_decompose(self, small_grid):
-        from repro.core.engine import decompose
-
-        with pytest.warns(DeprecationWarning):
-            old = partition(
-                small_grid, 0.3, method="bfs", seed=4, validate=True
-            )
-        new = decompose(
-            small_grid, 0.3, method="bfs", seed=4, validate=True
-        )
-        np.testing.assert_array_equal(
-            old.decomposition.center, new.decomposition.center
-        )
-        np.testing.assert_array_equal(
-            old.decomposition.hops, new.decomposition.hops
-        )
-        assert old.summary() == new.summary()
-        assert old.report == new.report
 
 
 class TestStructuralExtremes:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core import registry
 from repro.core.registry import (
-    PARTITION_METHODS,
     MethodSpec,
     OptionSpec,
     get_method,
@@ -104,26 +103,6 @@ class TestLookup:
             "dijkstra",
         }
         assert expected <= set(method_names())
-
-
-class TestPartitionMethodsView:
-    def test_view_in_sync_with_registry(self, scratch_method):
-        name, reg = scratch_method
-        assert name not in PARTITION_METHODS
-        reg()
-        assert name in PARTITION_METHODS
-        assert PARTITION_METHODS[name] == "scratch"
-        assert set(PARTITION_METHODS) == set(method_names("unweighted"))
-
-    def test_view_excludes_weighted_only_methods(self):
-        assert "dijkstra" not in PARTITION_METHODS
-        with pytest.raises(KeyError):
-            PARTITION_METHODS["dijkstra"]
-
-    def test_view_is_mapping(self):
-        assert len(PARTITION_METHODS) == len(method_names("unweighted"))
-        as_dict = dict(PARTITION_METHODS)
-        assert as_dict["bfs"].startswith("Algorithm 1")
 
 
 class TestOptions:

@@ -53,11 +53,11 @@ class TestCrossModuleEdgeCases:
 
     def test_star_graph_all_methods(self):
         from repro.core.engine import decompose
-        from repro.core.registry import PARTITION_METHODS
+        from repro.core.registry import method_names
         from repro.graphs.generators import star_graph
 
         g = star_graph(25)
-        for method in PARTITION_METHODS:
+        for method in method_names("unweighted"):
             result = decompose(g, 0.4, method=method, seed=4, validate=True)
             assert result.report.all_invariants_hold(), method
 

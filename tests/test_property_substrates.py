@@ -7,7 +7,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bfs.direction import direction_optimizing_bfs
 from repro.bfs.frontier import frontier_bfs
 from repro.bfs.sequential import bfs, multi_source_bfs
 from repro.graphs.build import from_edges
@@ -60,17 +59,6 @@ def test_frontier_bfs_matches_sequential(graph, seed):
     np.testing.assert_array_equal(
         bfs(graph, source).dist,
         frontier_bfs(graph, np.asarray([source])).dist,
-    )
-
-
-@COMMON
-@given(random_graphs(), st.integers(0, 100))
-def test_direction_bfs_matches_sequential(graph, seed):
-    rng = np.random.default_rng(seed)
-    source = int(rng.integers(graph.num_vertices))
-    np.testing.assert_array_equal(
-        bfs(graph, source).dist,
-        direction_optimizing_bfs(graph, source).dist,
     )
 
 

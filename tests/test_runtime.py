@@ -387,10 +387,8 @@ class TestLiveRegistration:
 class TestEngineSharedExecutor:
     def test_shared_matches_serial(self):
         graph = grid_2d(10, 10)
-        shared = decompose_many(
-            graph, 0.2, seeds=4, executor="shared", max_workers=2
-        )
-        serial = decompose_many(graph, 0.2, seeds=4, executor="serial")
+        shared = decompose_many(graph, 0.2, seeds=4, max_workers=2)
+        serial = decompose_many(graph, 0.2, seeds=4, max_workers=1)
         for a, b in zip(shared.runs, serial.runs):
             assert (a.graph_index, a.seed) == (b.graph_index, b.seed)
             np.testing.assert_array_equal(
@@ -402,10 +400,8 @@ class TestEngineSharedExecutor:
 
     def test_shared_multi_graph_batch(self):
         graphs = [grid_2d(6, 6), path_graph(40)]
-        shared = decompose_many(
-            graphs, 0.3, seeds=[5, 9], executor="shared", max_workers=2
-        )
-        serial = decompose_many(graphs, 0.3, seeds=[5, 9], executor="serial")
+        shared = decompose_many(graphs, 0.3, seeds=[5, 9], max_workers=2)
+        serial = decompose_many(graphs, 0.3, seeds=[5, 9], max_workers=1)
         assert [(r.graph_index, r.seed) for r in shared.runs] == [
             (r.graph_index, r.seed) for r in serial.runs
         ]
@@ -414,47 +410,41 @@ class TestEngineSharedExecutor:
                 a.result.decomposition.center, b.result.decomposition.center
             )
 
-    def test_unknown_executor_lists_shared(self):
-        with pytest.raises(ParameterError, match="shared"):
-            decompose_many(grid_2d(4, 4), 0.3, seeds=2, executor="thread")
-
     def test_auto_matches_serial(self):
-        """'auto' may route serial or through the shared runtime depending
-        on CPU count — either way per-seed results must be identical."""
+        """The default worker count may route in process or through the
+        shared runtime depending on CPU count — either way per-seed
+        results must be identical."""
         graph = grid_2d(8, 8)
-        auto = decompose_many(graph, 0.3, seeds=3, executor="auto")
-        serial = decompose_many(graph, 0.3, seeds=3, executor="serial")
+        auto = decompose_many(graph, 0.3, seeds=3)
+        serial = decompose_many(graph, 0.3, seeds=3, max_workers=1)
         for a, b in zip(auto.runs, serial.runs):
             np.testing.assert_array_equal(
                 a.result.decomposition.center, b.result.decomposition.center
             )
 
-    def test_auto_falls_back_to_process_pool_not_serial(self, monkeypatch):
-        """No /dev/shm must not cost auto its parallelism: the legacy
-        pickling pool is tried before degrading to the serial loop."""
-        import repro.core.engine as engine_mod
+    def test_pool_failure_warns_once_and_runs_in_process(self, monkeypatch):
+        """A pool that cannot start (no /dev/shm, no subprocesses) costs
+        the batch its parallelism, not its results: one RuntimeWarning,
+        then the in-process loop."""
+        import repro.runtime.pool as pool_mod
 
-        pool_calls = []
-        real_run_pool = engine_mod._run_pool
+        def no_pool(*args, **kwargs):
+            raise OSError("no shared memory")
 
-        def spying_run_pool(*args, **kwargs):
-            pool_calls.append(kwargs.get("strict"))
-            return real_run_pool(*args, **kwargs)
-
-        # Non-strict _run_shared reports infrastructure failure as None.
-        monkeypatch.setattr(
-            engine_mod, "_run_shared", lambda *a, **k: None
-        )
-        monkeypatch.setattr(engine_mod, "_run_pool", spying_run_pool)
+        monkeypatch.setattr(pool_mod, "DecompositionPool", no_pool)
         graph = grid_2d(8, 8)
-        auto = decompose_many(
-            graph, 0.3, seeds=2, executor="auto", max_workers=2
-        )
-        assert pool_calls == [False]
-        serial = decompose_many(graph, 0.3, seeds=2, executor="serial")
-        for a, b in zip(auto.runs, serial.runs):
+        with pytest.warns(RuntimeWarning) as caught:
+            fallback = decompose_many(graph, 0.3, seeds=3, max_workers=2)
+        assert len(caught) == 1
+        assert "pool unavailable" in str(caught[0].message)
+        serial = decompose_many(graph, 0.3, seeds=3, max_workers=1)
+        for a, b in zip(fallback.runs, serial.runs):
+            assert (a.graph_index, a.seed) == (b.graph_index, b.seed)
             np.testing.assert_array_equal(
                 a.result.decomposition.center, b.result.decomposition.center
+            )
+            np.testing.assert_array_equal(
+                a.result.decomposition.hops, b.result.decomposition.hops
             )
 
     def test_spawn_start_method_conforms(self):

@@ -803,8 +803,11 @@ class TestAsyncClientTimers:
 
         async def hang(reader, writer):
             # Read every request, answer none of them.
-            while await reader.read(65536):
-                pass
+            try:
+                while await reader.read(65536):
+                    pass
+            finally:
+                writer.close()
 
         async def run():
             server = await asyncio.start_server(hang, "127.0.0.1", 0)
@@ -843,14 +846,18 @@ class TestAsyncClientTimers:
         async def answer_once_then_drop(reader, writer):
             # Answer the first request in v2, then drop the connection
             # when the second one arrives.
-            header = await reader.readexactly(4)
-            request = decode_frame_payload(
-                await reader.readexactly(parse_frame_length(header))
-            )
-            writer.write(encode_frame({"ok": True, "id": request["id"]}))
-            await writer.drain()
-            await reader.readexactly(4)
-            writer.close()
+            try:
+                header = await reader.readexactly(4)
+                request = decode_frame_payload(
+                    await reader.readexactly(parse_frame_length(header))
+                )
+                writer.write(
+                    encode_frame({"ok": True, "id": request["id"]})
+                )
+                await writer.drain()
+                await reader.readexactly(4)
+            finally:
+                writer.close()
 
         async def run():
             server = await asyncio.start_server(
