@@ -11,7 +11,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.ldd_uniform import partition_uniform
 from repro.graphs.generators import grid_2d, random_regular

@@ -12,8 +12,6 @@ next to the bench log).  Grid side defaults to 250 (scale with
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import pytest
 
 from repro.core.ldd_bfs import partition_bfs

@@ -9,11 +9,9 @@ The lemma has two parts, both regenerated here by simulation:
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.shifts import sample_shifts
 from repro.core.theory import expected_delta_max, whp_radius_bound
-from repro.rng.order_stats import harmonic_number
 
 from common import Table, mean_and_sem
 

@@ -9,7 +9,6 @@ reported.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.oracles import build_oracle
 from repro.graphs.generators import erdos_renyi, grid_2d, torus_2d

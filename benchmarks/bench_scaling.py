@@ -11,9 +11,6 @@ work on adversarial inputs), making the contrast concrete.
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.ldd_bfs import partition_bfs
 from repro.core.ldd_sequential import partition_sequential
 from repro.graphs.generators import grid_2d, path_graph

@@ -8,7 +8,6 @@ stretch (the condition-number proxy the theory bounds).
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.graphs.generators import erdos_renyi, grid_2d, torus_2d

@@ -574,6 +574,14 @@ def _parse_options(graph, method: str, pairs: list[str]) -> dict[str, object]:
     return options
 
 
+def _check_workers(args: argparse.Namespace) -> None:
+    """Reject ``--workers < 1`` before any work or output."""
+    from repro.errors import ParameterError
+
+    if args.workers is not None and args.workers < 1:
+        raise ParameterError(f"max_workers must be >= 1, got {args.workers}")
+
+
 def _cmd_decompose(args: argparse.Namespace) -> int:
     from repro.core.engine import decompose, decompose_many
 
@@ -581,6 +589,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
     if args.reps < 1:
         raise ParameterError(f"--reps must be >= 1, got {args.reps}")
+    _check_workers(args)
     graph = _build_graph(args)
     options = _parse_options(graph, args.method, args.option)
     if args.reps > 1:
@@ -655,6 +664,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core.engine import decompose_many
 
+    _check_workers(args)
     graph = _build_graph(args)
     options = _parse_options(graph, args.method, args.option)
     betas = [float(tok) for tok in args.betas.split(",") if tok.strip()]

@@ -45,6 +45,7 @@ shard that comes back reopen lazily on the next request.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import errno
 import logging
 import os
@@ -852,7 +853,9 @@ class ClusterRouter:
         build = upload_builder(
             {k: v for k, v in message.items() if k != "id"}
         )
-        graph, digest = await self._loop.run_in_executor(None, build)
+        graph, digest = await self._loop.run_in_executor(
+            None, contextvars.copy_context().run, build
+        )
         label = self._ring.owner(digest)
         try:
             response = await self._clients[label].call(

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 import repro.telemetry as telemetry
 from repro.bfs.delayed import delayed_multisource_bfs
 from repro.bfs.kernels import resolve_kernel

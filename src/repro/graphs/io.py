@@ -11,7 +11,7 @@ and :class:`~repro.graphs.weighted.WeightedCSRGraph` instances:
 
 - edge list — ``n m`` header, then ``u v`` (or ``u v w``) per edge; weights
   are written with 17 significant digits so ``float64`` survives the text
-  round trip bit-for-bit;
+  round trip bit-for-bit (grammar below);
 - METIS — 1-indexed adjacency lines; weighted graphs use the standard
   ``fmt=001`` edge-weight code (``nbr w`` pairs per line);
 - JSON — ``{"num_vertices", "edges"[, "weights"]}``.
@@ -19,18 +19,42 @@ and :class:`~repro.graphs.weighted.WeightedCSRGraph` instances:
 Malformed inputs raise :class:`~repro.errors.GraphError` carrying the
 source name and the 1-based line number of the offending token — never a
 raw ``ValueError`` from ``int()``/``float()``.
+
+The edge-list byte grammar, as the block tokenizer reads it (in memory
+and streaming alike):
+
+- the input is ASCII; a byte at or above ``0x80`` is a ``GraphError``
+  naming its line;
+- lines end at ``\\n``, ``\\r\\n``, ``\\r``, ``\\v``, ``\\f`` or
+  ``\\x1c``–``\\x1e`` — the ASCII line breaks of ``str.splitlines()``;
+  the last line needs no break;
+- tokens are separated by runs of ``str.split()`` whitespace (space, tab,
+  ``\\x1f`` and the line breaks);
+- a line with no tokens is blank, and a line whose first token starts with
+  ``#`` or ``%`` is a comment; both are skipped.  A line that strips to
+  exactly ``# weighted`` marks the list weighted (every row ``u v w``),
+  which is how an edgeless weighted graph is written;
+- the first remaining line is the header ``n m``; each later one is a row
+  of ``u v`` (or ``u v w`` when marked, or when the first row has three
+  tokens).  Ids and counts are read as ``int()`` reads them (so ``+3``,
+  ``007`` and ``1_0`` are fine), weights as ``float()`` does.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
+import itertools
 import json
 import os
 from pathlib import Path
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from repro.errors import GraphError, ParameterError
-from repro.graphs.build import from_edges
+from repro.graphs.build import check_packable, drop_repeats, from_edges
 from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
 from repro.graphs.weighted import WeightedCSRGraph, weighted_from_edges
 
@@ -70,6 +94,7 @@ _WEIGHT_FMT = "{:.17g}"
 #: Comment marker flagging a weighted edge list with no edges — the one
 #: case where no ``u v w`` row exists to carry the weightedness.
 _WEIGHTED_MARKER = "# weighted"
+_MARKER_BYTES = _WEIGHTED_MARKER.encode()
 
 
 def format_for_path(path: str | Path) -> str:
@@ -112,15 +137,6 @@ def _check_header_counts(
         )
 
 
-def _data_lines(text: str, *, comments: tuple[str, ...]):
-    """Yield ``(line_no, tokens)`` for non-blank, non-comment lines."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith(comments):
-            continue
-        yield line_no, stripped.split()
-
-
 # ---------------------------------------------------------------------------
 # edge-list format
 # ---------------------------------------------------------------------------
@@ -149,15 +165,166 @@ def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
 def read_edge_list(path: str | Path) -> CSRGraph:
     """Read the format produced by :func:`write_edge_list`."""
     path = Path(path)
-    return _parse_edge_list(path.read_text(), source=str(path))
+    text = path.read_text(errors="surrogateescape")
+    return _parse_edge_list(text, source=str(path))
 
 
-def _parse_edge_list(text: str, *, source: str) -> CSRGraph:
-    lines = _data_lines(text, comments=("#", "%"))
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise GraphError(f"{source}: empty edge-list input") from None
+#: Bytes per tokenizer block.  Blocks end just past a line break, so a
+#: block exceeds this only by the line it would otherwise cut.
+_BLOCK_BYTES = 1 << 18
+
+
+def _in_range(arr: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``lo <= arr <= hi`` for ``uint8`` bytes, in one wrapping compare."""
+    return (arr - np.uint8(lo)) <= hi - lo
+
+
+def _is_break(arr: np.ndarray) -> np.ndarray:
+    """``str.splitlines()`` line breaks within ASCII: ``\\n``, ``\\v``,
+    ``\\f``, ``\\r`` and ``\\x1c``–``\\x1e`` (``\\r\\n`` is one break)."""
+    return _in_range(arr, 0x0A, 0x0D) | _in_range(arr, 0x1C, 0x1E)
+
+
+def _is_space(arr: np.ndarray) -> np.ndarray:
+    """``str.split()`` whitespace within ASCII: tab, the line breaks,
+    ``\\x1f`` and space."""
+    return _in_range(arr, 0x09, 0x0D) | _in_range(arr, 0x1C, 0x20)
+
+
+def _count_breaks(data: bytes) -> int:
+    """Line breaks in ``data``, counted as :func:`_is_break` counts them."""
+    breaks = sum(data.count(bytes([c])) for c in b"\n\x0b\x0c\r\x1c\x1d\x1e")
+    return breaks - data.count(b"\r\n")
+
+
+def _line_blocks(read):
+    """Cut the bytes ``read(size)`` returns into blocks of whole lines.
+
+    Only the last block may lack its final line break.  A ``\\r`` ending
+    the bytes read so far never ends a block: its ``\\n`` may be unread.
+    """
+    buf = b""
+    while True:
+        chunk = read(_BLOCK_BYTES)
+        if not chunk:
+            if buf:
+                yield buf
+            return
+        buf += chunk
+        cut = buf.rfind(b"\n") + 1
+        if not cut:
+            ends = np.flatnonzero(_is_break(np.frombuffer(buf, np.uint8)[:-1]))
+            cut = int(ends[-1]) + 1 if ends.size else 0
+        if cut:
+            yield buf[:cut]
+            buf = buf[cut:]
+
+
+@dataclass
+class _Block:
+    """One tokenized block of whole lines.
+
+    Token ``i`` is ``data[starts[i]:ends[i]]``.  The block's rows are its
+    non-blank, non-comment lines.
+    """
+
+    data: bytes
+    starts: np.ndarray   # offset of every token, comment lines' too
+    ends: np.ndarray     # one past the last byte of every token
+    first: np.ndarray    # index of each row's first token
+    ntok: np.ndarray     # tokens per row
+    lines: np.ndarray    # 1-based line number of each row
+    markers: np.ndarray  # 1-based line numbers of ``# weighted`` lines
+    end_line: int        # line number the next block starts on
+
+    @cached_property
+    def tokens(self) -> list[str]:
+        """Every token as a ``str``, for the ``int()``/``float()`` paths."""
+        return self.data.decode("ascii").split()
+
+    def text(self, i: int) -> str:
+        return self.data[self.starts[i] : self.ends[i]].decode("ascii")
+
+
+def _tokenize(
+    data: bytes, line_no: int, source: str, *, check_ascii: bool = True
+) -> _Block:
+    """Tokenize a block of whole lines whose first line is ``line_no``.
+
+    Line breaks, token bounds and per-line token counts come from numpy
+    passes over ``uint8``/``bool`` arrays of the bytes; every array that
+    is not per byte is per line or per token.  ``check_ascii=False`` is
+    for callers that read only the line structure (markers, the header's
+    token count) and must not reject other formats' text.
+    """
+    arr = np.frombuffer(data, dtype=np.uint8)
+    brk = _is_break(arr)
+    brk[1:] &= (arr[1:] != 0x0A) | (arr[:-1] != 0x0D)
+    breaks = np.flatnonzero(brk)
+    if check_ascii and not data.isascii():
+        at = int(np.argmax(arr >= 0x80))
+        raise GraphError(
+            f"{source}:{line_no + int(np.searchsorted(breaks, at))}: "
+            "non-ASCII byte in edge-list input"
+        )
+    space = _is_space(arr)
+    head = ~space
+    tail = head.copy()
+    head[1:] &= space[:-1]
+    tail[:-1] &= space[1:]
+    starts = np.flatnonzero(head)
+    ends = np.flatnonzero(tail) + 1
+    # Line k starts after break k - 1; its tokens run up to line k + 1's.
+    first = np.searchsorted(starts, np.concatenate(([0], breaks + 1)))
+    ntok = np.diff(first, append=starts.shape[0])
+    lines = line_no + np.flatnonzero(ntok)
+    first = first[ntok > 0]
+    ntok = ntok[ntok > 0]
+    char = arr[starts[first]]
+    comment = (char == ord("#")) | (char == ord("%"))
+    # A marker line strips to exactly "# weighted".
+    markers = [
+        line
+        for i, line in zip(
+            first[comment & (ntok == 2)].tolist(),
+            lines[comment & (ntok == 2)].tolist(),
+        )
+        if data[starts[i] : ends[i + 1]] == _MARKER_BYTES
+    ]
+    rows = ~comment
+    return _Block(
+        data, starts, ends, first[rows], ntok[rows], lines[rows],
+        np.asarray(markers, dtype=np.int64), line_no + breaks.shape[0],
+    )
+
+
+def _tokenized(read, source: str, *, check_ascii: bool = True):
+    """:func:`_tokenize` over every :func:`_line_blocks` block, in order."""
+    line_no = 1
+    for data in _line_blocks(read):
+        blk = _tokenize(data, line_no, source, check_ascii=check_ascii)
+        line_no = blk.end_line
+        yield blk
+
+
+def _edge_list_header(blocks, source: str, *, streaming: bool = False):
+    """Parse the header row off the iterator ``blocks``.
+
+    Returns ``(n, m, header line, body blocks)``; the body starts with the
+    rest of the header's block.
+    """
+    for blk in blocks:
+        if streaming and blk.markers.size and (
+            not blk.lines.size or blk.markers[0] < blk.lines[0]
+        ):
+            raise _streaming_weighted_error(source, int(blk.markers[0]))
+        if blk.lines.size:
+            break
+    else:
+        raise GraphError(f"{source}: empty edge-list input")
+    at = int(blk.first[0])
+    header = [blk.text(i) for i in range(at, at + int(blk.ntok[0]))]
+    header_no = int(blk.lines[0])
     if len(header) != 2:
         raise GraphError(
             f"{source}:{header_no}: bad edge-list header — expected "
@@ -170,51 +337,172 @@ def _parse_edge_list(text: str, *, source: str) -> CSRGraph:
         header[1], source=source, line_no=header_no, what="edge count"
     )
     _check_header_counts(n, m, source=source, line_no=header_no)
-    # m edges need m body lines; reject a header promising more than the
-    # input can hold *before* sizing the allocation from it.
-    max_lines = text.count("\n") + 1
-    if m > max_lines:
-        raise GraphError(
-            f"{source}:{header_no}: header claims {m} edges but the "
-            f"input has only {max_lines} lines"
-        )
-    edges = np.zeros((m, 2), dtype=VERTEX_DTYPE)
-    weights = None
-    if any(
-        line.strip() == _WEIGHTED_MARKER for line in text.splitlines()
-    ):
-        weights = np.zeros(m, dtype=np.float64)
+    rest = dataclasses.replace(
+        blk, first=blk.first[1:], ntok=blk.ntok[1:], lines=blk.lines[1:]
+    )
+    return n, m, header_no, itertools.chain([rest], blocks)
+
+
+def _digit_values(blk: _Block, idx: np.ndarray) -> np.ndarray | None:
+    """Values of tokens ``idx`` if each is 1–18 ASCII digits, else ``None``.
+
+    Such a token's value is below ``10**18 < 2**63``, so this ``int64``
+    Horner pass equals ``int(token)``; every other token takes the
+    ``int()``-semantics path.
+    """
+    ends = blk.ends[idx]
+    lens = ends - blk.starts[idx]
+    value = np.zeros(idx.shape[0], dtype=np.int64)
+    width = int(lens.max()) if idx.size else 0
+    if width > 18:
+        return None
+    arr = np.frombuffer(blk.data, dtype=np.uint8)
+    # Right-aligned digit columns; positions before a token read as 0.
+    for j in range(width, 0, -1):
+        pos = ends - j
+        digit = arr[np.maximum(pos, 0)] - np.uint8(ord("0"))
+        digit[j > lens] = 0
+        if (digit > 9).any():
+            return None
+        value *= 10
+        value += digit
+    return value
+
+
+def _parse_columns(blk: _Block, stop: int, ncol: int, source: str):
+    """Columns ``u, v[, w]`` of rows ``[0, stop)``: ``int64`` ids and
+    ``float64`` weights with ``int()``/``float()`` semantics.  A bad token
+    raises naming its line, in the order a row-by-row reader meets it."""
+    idx = [blk.first[:stop] + k for k in range(ncol)]
+    cols = [_digit_values(blk, i) for i in idx[:2]] + [None] * (ncol - 2)
+    kinds = (np.int64, np.int64, np.float64)
+    try:
+        for k in range(ncol):
+            if cols[k] is None:
+                cols[k] = np.array(
+                    list(map(blk.tokens.__getitem__, idx[k].tolist())),
+                    dtype=kinds[k],
+                )
+        return cols
+    except (ValueError, OverflowError):
+        pass
+    for r in range(stop):
+        line_no = int(blk.lines[r])
+        for k in range(ncol):
+            token = blk.tokens[int(idx[k][r])]
+            if k == 2:
+                _parse_float(
+                    token, source=source, line_no=line_no, what="edge weight"
+                )
+            elif not -(2**63) <= _parse_int(
+                token, source=source, line_no=line_no, what="edge endpoint"
+            ) < 2**63:
+                raise GraphError(
+                    f"{source}:{line_no}: edge endpoint out of range, "
+                    f"got {token!r}"
+                )
+    raise GraphError(f"{source}: unparseable token")  # pragma: no cover
+
+
+def _edge_rows(
+    blocks,
+    *,
+    n: int,
+    m: int,
+    source: str,
+    weighted: bool = False,
+    streaming: bool = False,
+):
+    """Validate and parse edge-list body rows, one block at a time.
+
+    Yields ``(u, v, w)`` per block; ``w`` is ``None`` unless the rows are
+    ``u v w``.  Rows have three columns when ``weighted`` or when
+    the first row has three tokens.  Faults raise in the order a
+    row-by-row reader meets them: per row a surplus row, then a wrong
+    column count, then a bad ``u``, ``v``, ``w`` token; after the last row
+    a missing row.  ``streaming`` rejects ``u v w`` rows and ``# weighted``
+    markers, and range-checks each block's endpoints by line.
+    """
     count = 0
-    for line_no, tokens in lines:
-        if count >= m:
-            raise GraphError(
-                f"{source}:{line_no}: edge count mismatch — header says "
-                f"{m}, found more"
-            )
-        if len(tokens) == 3 and weights is None and count == 0:
-            weights = np.zeros(m, dtype=np.float64)
-        expected = 2 if weights is None else 3
-        if len(tokens) != expected:
-            raise GraphError(
-                f"{source}:{line_no}: expected {expected} columns "
-                f"({'u v w' if expected == 3 else 'u v'}), got {len(tokens)}"
-            )
-        edges[count, 0] = _parse_int(
-            tokens[0], source=source, line_no=line_no, what="edge endpoint"
-        )
-        edges[count, 1] = _parse_int(
-            tokens[1], source=source, line_no=line_no, what="edge endpoint"
-        )
-        if weights is not None:
-            weights[count] = _parse_float(
-                tokens[2], source=source, line_no=line_no, what="edge weight"
-            )
-        count += 1
+    ncol = 2 if streaming else 0
+    for blk in blocks:
+        rows = blk.lines.shape[0]
+        marked = streaming and blk.markers.size
+        if not rows and not marked:
+            continue
+        if not ncol:
+            ncol = 3 if weighted or blk.ntok[0] == 3 else 2
+        # The first structural fault decides how many rows are parsed.
+        stop = min(rows, max(m - count, 0))
+        wrong = np.flatnonzero(blk.ntok[:stop] != ncol)
+        if wrong.size:
+            stop = int(wrong[0])
+        fault = None
+        if stop < rows:
+            line_no = int(blk.lines[stop])
+            if count + stop >= m:
+                fault = GraphError(
+                    f"{source}:{line_no}: edge count mismatch — header "
+                    f"says {m}, found more"
+                )
+            elif streaming and blk.ntok[stop] == 3:
+                fault = _streaming_weighted_error(source, line_no)
+            else:
+                fault = GraphError(
+                    f"{source}:{line_no}: expected {ncol} columns "
+                    f"({'u v w' if ncol == 3 else 'u v'}), "
+                    f"got {int(blk.ntok[stop])}"
+                )
+        if marked and (fault is None or blk.markers[0] < line_no):
+            line_no = int(blk.markers[0])
+            stop = int(np.searchsorted(blk.lines, line_no))
+            fault = _streaming_weighted_error(source, line_no)
+        u, v, *w = _parse_columns(blk, stop, ncol, source)
+        if fault is not None:
+            raise fault
+        if streaming:
+            _check_endpoints(u, v, blk.lines, n, source)
+        yield u, v, (w[0] if w else None)
+        count += rows
     if count != m:
         raise GraphError(
             f"{source}: edge count mismatch — header says {m}, "
             f"found {count}"
         )
+
+
+def _parse_edge_list(text: str, *, source: str) -> CSRGraph:
+    data = text.encode("utf-8", "surrogatepass")
+    n, m, header_no, body = _edge_list_header(
+        _tokenized(io.BytesIO(data).read, source), source
+    )
+    # m edges need m body lines; reject a header promising more than the
+    # input can hold *before* sizing the allocation from it.
+    max_lines = _count_breaks(data) + 1
+    if m > max_lines:
+        raise GraphError(
+            f"{source}:{header_no}: header claims {m} edges but the "
+            f"input has only {max_lines} lines"
+        )
+    # A marker anywhere makes every row "u v w"; the substring test spares
+    # inputs that cannot hold one the second line-structure pass.
+    weighted = _MARKER_BYTES in data and any(
+        blk.markers.size
+        for blk in _tokenized(io.BytesIO(data).read, source, check_ascii=False)
+    )
+    edges = np.empty((m, 2), dtype=VERTEX_DTYPE)
+    weights = np.empty(m, dtype=np.float64) if weighted else None
+    count = 0
+    rows = _edge_rows(body, n=n, m=m, source=source, weighted=weighted)
+    for u, v, w in rows:
+        end = count + u.shape[0]
+        edges[count:end, 0] = u
+        edges[count:end, 1] = v
+        if w is not None:
+            if weights is None:
+                weights = np.empty(m, dtype=np.float64)
+            weights[count:end] = w
+        count = end
     try:
         if weights is None:
             return from_edges(n, edges)
@@ -492,10 +780,12 @@ def parse_graph(
     stripped = text.lstrip()
     if stripped.startswith(("{", "[")):
         return from_json(text, source=source)
-    for _, tokens in _data_lines(text, comments=("#", "%")):
-        if len(tokens) >= 3:
-            return _parse_metis(text, source=source)
-        break
+    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    for blk in _tokenized(data.read, source, check_ascii=False):
+        if blk.lines.size:
+            if blk.ntok[0] >= 3:  # the header's token count
+                return _parse_metis(text, source=source)
+            break
     try:
         as_edges: CSRGraph | None = _parse_edge_list(text, source=source)
         edge_exc: GraphError | None = None
@@ -542,7 +832,9 @@ def load_graph(path: str | Path, format: str = "auto") -> CSRGraph:
             f"choices: {sorted((*GRAPH_FORMATS, 'auto'))}"
         )
     try:
-        text = path.read_text()
+        # Undecodable bytes survive as surrogates, for the parsers to
+        # reject as bad tokens (or non-ASCII edge-list lines) by line.
+        text = path.read_text(errors="surrogateescape")
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from None
     return parse_graph(text, format, source=str(path))
@@ -556,11 +848,12 @@ def load_graph(path: str | Path, format: str = "auto") -> CSRGraph:
 # counting-sort passes, so a graph whose text or CSR form exceeds RAM
 # ingests with bounded resident memory:
 #
-#   edge list — pass A counts degrees per chunk of parsed rows, a chunked
-#   cumsum turns them into offsets, pass B re-streams the file and scatters
-#   arcs through a per-vertex cursor file, pass C sorts + dedups each row
-#   block-wise and compacts in place (write offset never passes the read
-#   offset, so no second copy of ``indices`` exists);
+#   edge list — pass A counts degrees per tokenizer block (the block
+#   tokenizer of the in-memory parser, fed from the file in binary), a
+#   chunked cumsum turns them into offsets, pass B re-streams the file and
+#   scatters arcs through a per-vertex cursor file, pass C sorts + dedups
+#   each row block-wise and compacts in place (write offset never passes
+#   the read offset, so no second copy of ``indices`` exists);
 #
 #   METIS — adjacency rows arrive grouped by vertex, so arcs append in row
 #   order in one pass, followed by the same sort/dedup/compact pass and a
@@ -572,7 +865,7 @@ def load_graph(path: str | Path, format: str = "auto") -> CSRGraph:
 # produces.  Weighted inputs are rejected — parse those with
 # :func:`load_graph`.
 
-#: Parsed rows per text chunk (bounds Python-object overhead).
+#: Parsed METIS rows per text chunk (bounds Python-object overhead).
 _STREAM_CHUNK_LINES = 1 << 18
 #: Arcs per in-RAM block in the sort/dedup/compact and cumsum passes.
 _STREAM_CHUNK_ARCS = 1 << 22
@@ -596,22 +889,11 @@ def _streaming_weighted_error(source: str, line_no: int) -> GraphError:
     )
 
 
-def _edge_data_lines(path: str, source: str):
-    """Yield ``(line_no, tokens)`` for edge-list data lines, streaming."""
+def _open_binary(path: str):
     try:
-        fh = open(path, "r")
+        return open(path, "rb")
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from None
-    with fh:
-        for line_no, raw in enumerate(fh, start=1):
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            if stripped.startswith(("#", "%")):
-                if stripped == _WEIGHTED_MARKER:
-                    raise _streaming_weighted_error(source, line_no)
-                continue
-            yield line_no, stripped.split()
 
 
 def _ids_from_tokens(
@@ -652,43 +934,19 @@ def _check_endpoints(
         )
 
 
-def _edge_chunks(
-    path: str, source: str, n: int, dtype, chunk_lines: int
-):
-    """Parsed ``(u, v)`` chunks of an edge-list body, validated."""
-    lines = _edge_data_lines(path, source)
-    next(lines)  # header, already validated by the caller
-    us: list = []
-    vs: list = []
-    lns: list = []
+def _edge_chunks(source: str, n: int, m: int, dtype):
+    """One pass over an edge-list file: validated ``(u, v)`` per block.
 
-    def _flush():
-        line_nos = np.asarray(lns, dtype=np.int64)
-        u = _ids_from_tokens(
-            us, line_nos, dtype, source=source, what="edge endpoint"
+    Ids are range-checked before the cast to the ``dtype`` scratch.
+    """
+    with _open_binary(source) as fh:
+        *_, body = _edge_list_header(
+            _tokenized(fh.read, source), source, streaming=True
         )
-        v = _ids_from_tokens(
-            vs, line_nos, dtype, source=source, what="edge endpoint"
-        )
-        _check_endpoints(u, v, line_nos, n, source)
-        return u, v
-
-    for line_no, tokens in lines:
-        if len(tokens) != 2:
-            if len(tokens) == 3:
-                raise _streaming_weighted_error(source, line_no)
-            raise GraphError(
-                f"{source}:{line_no}: expected 2 columns ('u v'), "
-                f"got {len(tokens)}"
-            )
-        us.append(tokens[0])
-        vs.append(tokens[1])
-        lns.append(line_no)
-        if len(lns) >= chunk_lines:
-            yield _flush()
-            us, vs, lns = [], [], []
-    if lns:
-        yield _flush()
+        for u, v, _ in _edge_rows(
+            body, n=n, m=m, source=source, streaming=True
+        ):
+            yield u.astype(dtype, copy=False), v.astype(dtype, copy=False)
 
 
 def _rebuild_indptr(
@@ -727,18 +985,12 @@ def _sort_dedup_compact(
         v1 = int(np.searchsorted(indptr_mm, p0 + chunk_arcs, side="right")) - 1
         v1 = min(max(v1, v0 + 1), n)
         p1 = int(indptr_mm[v1])
-        block = indices_mm[p0:p1].copy()
+        # Packed (row, neighbour) keys: one sort orders and dedups rows.
         rowdeg = np.diff(indptr_mm[v0 : v1 + 1])
-        rows = np.repeat(np.arange(v1 - v0, dtype=np.int64), rowdeg)
-        order = np.lexsort((block, rows))
-        svals = block[order]
-        srows = rows[order]
-        if svals.shape[0]:
-            keep = np.empty(svals.shape[0], dtype=bool)
-            keep[0] = True
-            keep[1:] = (srows[1:] != srows[:-1]) | (svals[1:] != svals[:-1])
-            svals = svals[keep]
-            srows = srows[keep]
+        keys = np.repeat(np.arange(v1 - v0, dtype=np.int64) * n, rowdeg)
+        keys += indices_mm[p0:p1]
+        keys.sort()
+        srows, svals = np.divmod(drop_repeats(keys), n)
         kept = int(svals.shape[0])
         indices_mm[write_pos : write_pos + kept] = svals
         new_deg[v0:v1] = np.bincount(srows, minlength=v1 - v0)
@@ -801,7 +1053,6 @@ def stream_edge_list_to_mmap(
     out_path: str | Path,
     *,
     owns_file: bool = False,
-    chunk_lines: int = _STREAM_CHUNK_LINES,
     chunk_arcs: int = _STREAM_CHUNK_ARCS,
     id_limit: int = _INT32_LIMIT,
 ):
@@ -810,29 +1061,19 @@ def stream_edge_list_to_mmap(
     Returns the opened :class:`~repro.graphs.mmapcsr.MmapCSR`; its graph is
     bit-identical (same :func:`~repro.serve.store.graph_digest`) to
     ``read_edge_list(path)`` without ever materialising the edge list in
-    RAM.  Weighted inputs raise — use :func:`load_graph` for those.
+    RAM.  The file is read in binary, through the block tokenizer the
+    in-memory parser uses, and faults carry the same messages, except that
+    an endpoint out of range or a self-loop names its line.  Weighted
+    inputs raise — use :func:`load_graph` for those.
     """
     from repro.graphs.mmapcsr import MmapLayout
 
     source = str(path)
-    lines = _edge_data_lines(source, source)
-    try:
-        header_no, header = next(lines)
-    except StopIteration:
-        raise GraphError(f"{source}: empty edge-list input") from None
-    lines.close()
-    if len(header) != 2:
-        raise GraphError(
-            f"{source}:{header_no}: bad edge-list header — expected "
-            f"'n m', got {' '.join(header)!r}"
+    with _open_binary(source) as fh:
+        n, m, _, _ = _edge_list_header(
+            _tokenized(fh.read, source), source, streaming=True
         )
-    n = _parse_int(
-        header[0], source=source, line_no=header_no, what="vertex count"
-    )
-    m = _parse_int(
-        header[1], source=source, line_no=header_no, what="edge count"
-    )
-    _check_header_counts(n, m, source=source, line_no=header_no)
+    check_packable(n)  # the sort/dedup pass packs (row, neighbour) keys
     dtype = _id_dtype(n, limit=id_limit)
     layout = MmapLayout.create(
         str(out_path),
@@ -846,21 +1087,9 @@ def stream_edge_list_to_mmap(
         indices_mm = views["indices"]
         # Pass A — count degrees into indptr[1:], then prefix-sum.
         deg = indptr_mm[1:]
-        count = 0
-        for u, v in _edge_chunks(source, source, n, dtype, chunk_lines):
+        for u, v in _edge_chunks(source, n, m, dtype):
             np.add.at(deg, u, 1)
             np.add.at(deg, v, 1)
-            count += int(u.shape[0])
-            if count > m:
-                raise GraphError(
-                    f"{source}: edge count mismatch — header says {m}, "
-                    "found more"
-                )
-        if count != m:
-            raise GraphError(
-                f"{source}: edge count mismatch — header says {m}, "
-                f"found {count}"
-            )
         _rebuild_indptr(indptr_mm, indptr_mm[1:], n, chunk_arcs)
         # Pass B — re-stream and scatter both arc directions through
         # per-vertex cursors kept in a scratch file.
@@ -870,7 +1099,7 @@ def stream_edge_list_to_mmap(
         for s in range(0, n, chunk_arcs):
             e = min(s + chunk_arcs, n)
             scratch[s:e] = indptr_mm[s:e]
-        for u, v in _edge_chunks(source, source, n, dtype, chunk_lines):
+        for u, v in _edge_chunks(source, n, m, dtype):
             src = np.concatenate([u, v])
             dst = np.concatenate([v, u])
             order = np.argsort(src, kind="stable")
@@ -966,6 +1195,7 @@ def stream_metis_to_mmap(
             "only unweighted (0) and edge-weighted (001) graphs are "
             "supported"
         )
+    check_packable(n)  # the sort/dedup pass packs (row, neighbour) keys
     dtype = _id_dtype(n, limit=id_limit)
     layout = MmapLayout.create(
         str(out_path),
@@ -1096,6 +1326,8 @@ def stream_graph_to_mmap(
     header: three or more header tokens mean METIS, two mean an edge list
     (files valid as both should pass an explicit ``format``, as the
     two-parser cross-check of :func:`parse_graph` would defeat streaming).
+    ``chunk_lines`` bounds the METIS reader's rows per chunk; the edge-list
+    reader works in fixed byte blocks.
     """
     source = str(path)
     if format == "auto":
@@ -1114,14 +1346,13 @@ def stream_graph_to_mmap(
         if header_entry is None:
             raise GraphError(f"{source}: empty graph input")
         format = "metis" if len(header_entry[1]) >= 3 else "edges"
-    kwargs = dict(
-        owns_file=owns_file, chunk_lines=chunk_lines,
-        chunk_arcs=chunk_arcs, id_limit=id_limit,
-    )
+    kwargs = dict(owns_file=owns_file, chunk_arcs=chunk_arcs, id_limit=id_limit)
     if format == "edges":
         return stream_edge_list_to_mmap(path, out_path, **kwargs)
     if format == "metis":
-        return stream_metis_to_mmap(path, out_path, **kwargs)
+        return stream_metis_to_mmap(
+            path, out_path, chunk_lines=chunk_lines, **kwargs
+        )
     raise ParameterError(
         f"streaming ingest supports formats 'edges' and 'metis', "
         f"got {format!r}"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphError, ParameterError
+from repro.graphs.build import check_packable, csr_arrays_from_keys
 from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
 
 __all__ = [
@@ -110,25 +111,24 @@ def weighted_from_edges(
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape[0] != edges.shape[0]:
         raise GraphError("one weight per edge required")
+    check_packable(num_vertices)
     if edges.shape[0]:
         if edges.min() < 0 or edges.max() >= num_vertices:
             raise GraphError("edge endpoints out of range")
         if np.any(edges[:, 0] == edges[:, 1]):
             raise GraphError("self-loops are not allowed")
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    keys = lo * num_vertices + hi
-    uniq, first = np.unique(keys, return_index=True)
-    if uniq.size != keys.size:
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.concatenate([u * num_vertices + v, v * num_vertices + u])
+    # Keys sort the arcs into CSR order; once duplicates are ruled out
+    # they are distinct, so any argsort gives the one canonical order.
+    order = np.argsort(keys)
+    keys = keys[order]
+    if keys.shape[0] and np.any(keys[1:] == keys[:-1]):
         raise GraphError("duplicate edges in weighted edge list")
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    w = np.concatenate([weights, weights])
-    counts = np.bincount(src, minlength=num_vertices).astype(VERTEX_DTYPE)
-    indptr = np.zeros(num_vertices + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    order = np.lexsort((dst, src))
-    return WeightedCSRGraph(indptr, dst[order], w[order])
+    indptr, indices = csr_arrays_from_keys(num_vertices, keys)
+    return WeightedCSRGraph(
+        indptr, indices, np.concatenate([weights, weights])[order]
+    )
 
 
 def uniform_weights(graph: CSRGraph, weight: float = 1.0) -> WeightedCSRGraph:

@@ -180,7 +180,9 @@ def decode_frame_payload(body: bytes) -> dict:
                 tail[offset : offset + nbytes], dtype=dtype
             ).reshape(shape)
         except (
-            KeyError, TypeError, ValueError, OverflowError
+            # np.dtype hands comma strings such as "<,8" to ast, which
+            # raises SyntaxError on garbage.
+            KeyError, TypeError, ValueError, OverflowError, SyntaxError
         ) as exc:
             raise ServeError(f"malformed array payload: {exc}") from None
 

@@ -38,6 +38,7 @@ CI-spawned servers.
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import errno
 import hashlib
 import json
@@ -125,7 +126,10 @@ def upload_builder(message: dict):
     """Validate an upload request; return a ``() -> (graph, digest)``.
 
     The returned callable does the CPU-heavy work (parse or construct plus
-    SHA-256) and is meant to run on an executor thread.  Two request
+    SHA-256) and is meant to run on an executor thread, under a copy of
+    the request's context (``contextvars.copy_context().run``) so that its
+    ``graphs.parse`` and ``graphs.digest`` spans join the request's trace.
+    Two request
     shapes: text (``payload`` + ``format``) and binary (``arrays`` +
     ``class``, the ``csr_arrays()`` contract straight off the wire —
     clients send raw compact-dtype buffers; the graph constructor restores
@@ -159,7 +163,8 @@ def upload_builder(message: dict):
             else:
                 cls = CSRGraph
             graph = cls.from_arrays(arrays, validate=True)
-            return graph, graph_digest(graph)
+            with _trace.span("graphs.digest"):
+                return graph, graph_digest(graph)
 
         return _build_and_hash
 
@@ -174,8 +179,10 @@ def upload_builder(message: dict):
         raise ParameterError("upload 'format' must be a string")
 
     def _parse_and_hash():
-        graph = parse_graph(payload, fmt, source=f"<upload:{fmt}>")
-        return graph, graph_digest(graph)
+        with _trace.span("graphs.parse", format=fmt):
+            graph = parse_graph(payload, fmt, source=f"<upload:{fmt}>")
+        with _trace.span("graphs.digest"):
+            return graph, graph_digest(graph)
 
     return _parse_and_hash
 
@@ -754,11 +761,14 @@ class DecompositionServer:
         # stall concurrent decompositions.  Only the registry mutation
         # (and its copy into shared memory) stays on the loop.
         build = upload_builder(message)
-        graph, digest = await self._loop.run_in_executor(None, build)
+        graph, digest = await self._loop.run_in_executor(
+            None, contextvars.copy_context().run, build
+        )
         return self._admit(graph, digest)
 
     def _admit(self, graph: CSRGraph, digest: str) -> dict:
-        digest, known = self._store.put(graph, digest=digest)
+        with _trace.span("runtime.register"):
+            digest, known = self._store.put(graph, digest=digest)
         from repro.graphs.weighted import WeightedCSRGraph
 
         return {

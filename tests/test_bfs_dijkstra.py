@@ -12,7 +12,6 @@ from repro.bfs.dijkstra import (
     shifted_integer_dijkstra,
 )
 from repro.bfs.sequential import bfs
-from repro.graphs.build import from_edges
 from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
 from repro.graphs.weighted import uniform_weights, weighted_from_edges
 

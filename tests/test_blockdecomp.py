@@ -10,7 +10,7 @@ from repro.bfs.sequential import eccentricity
 from repro.core.theory import blockdecomp_iteration_bound
 from repro.blockdecomp.linial_saks import block_decomposition
 from repro.graphs.build import from_edges
-from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
+from repro.graphs.generators import grid_2d, path_graph
 from repro.graphs.ops import connected_components, induced_subgraph
 
 

@@ -104,6 +104,14 @@ class TestDecompose:
         assert main(self.REPS + ["--workers", "0"]) == 2
         assert "max_workers must be >= 1" in capsys.readouterr().err
 
+    def test_bad_worker_count_rejected_without_reps(self, capsys):
+        argv = ["decompose", "--graph", "grid:5x5", "--beta", "0.3",
+                "--workers", "0", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_workers must be >= 1, got 0" in captured.err
+
     def test_executor_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(self.REPS + ["--executor", "shared"])
@@ -168,6 +176,14 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "cut_frac" in out
         assert len(out.strip().splitlines()) == 4  # header x2 + two rows
+
+    def test_bad_worker_count_rejected_before_output(self, capsys):
+        argv = ["sweep", "--graph", "grid:5x5", "--betas", "0.1,0.3",
+                "--workers", "-1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_workers must be >= 1, got -1" in captured.err
 
 
 class TestMethods:

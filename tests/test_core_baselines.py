@@ -13,7 +13,6 @@ from repro.core.verify import verify_decomposition
 from repro.graphs.build import from_edges
 from repro.graphs.generators import (
     complete_graph,
-    erdos_renyi,
     grid_2d,
     path_graph,
 )

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.core.engine import decompose
 from repro.core.shifts import sample_shifts
-from repro.core.verify import verify_decomposition
 from repro.graphs.generators import erdos_renyi, grid_2d
 from repro.rng.exponential import exponential_cdf
 

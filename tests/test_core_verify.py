@@ -12,7 +12,6 @@ from repro.core.verify import (
     strong_diameters,
     verify_decomposition,
 )
-from repro.graphs.build import from_edges
 from repro.graphs.generators import cycle_graph, grid_2d, path_graph
 
 

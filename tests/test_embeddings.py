@@ -10,7 +10,7 @@ from repro.embeddings.distortion import measure_distortion
 from repro.embeddings.hierarchy import Hierarchy, hierarchical_decomposition
 from repro.embeddings.hst import build_hst
 from repro.graphs.build import from_edges
-from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
+from repro.graphs.generators import path_graph
 
 
 class TestHierarchy:

@@ -11,8 +11,6 @@ import runpy
 import sys
 from pathlib import Path
 
-import pytest
-
 EXAMPLES_DIR = Path(__file__).parent.parent / "examples"
 
 

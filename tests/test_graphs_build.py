@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError
 from repro.graphs.build import (
+    MAX_PACKED_VERTICES,
     empty_graph,
     from_adjacency,
     from_arcs,
     from_edges,
 )
+from repro.graphs.weighted import weighted_from_edges
 
 
 class TestFromEdges:
@@ -45,6 +49,30 @@ class TestFromEdges:
     def test_sequence_of_tuples_accepted(self):
         g = from_edges(3, [(0, 1), (1, 2)])
         assert g.num_edges == 2
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: from_edges(n, [[0, 1]]),
+            lambda n: weighted_from_edges(n, [[0, 1]], [1.0]),
+            lambda n: from_arcs(n, np.asarray([0, 1]), np.asarray([1, 0])),
+        ],
+        ids=["from_edges", "weighted_from_edges", "from_arcs"],
+    )
+    def test_packed_key_overflow_raises_before_allocating(self, build):
+        # u * n + v wraps int64 above MAX_PACKED_VERTICES; the n-sized
+        # offsets array (24 GB here) must never be attempted.
+        assert MAX_PACKED_VERTICES == 3_037_000_499
+        assert (MAX_PACKED_VERTICES + 1) ** 2 > np.iinfo(np.int64).max
+        assert MAX_PACKED_VERTICES**2 <= np.iinfo(np.int64).max
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphError, match="overflow"):
+                build(MAX_PACKED_VERTICES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestFromArcs:

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError, ParameterError
+from repro.graphs import io as graphs_io
 from repro.graphs.build import from_edges
 from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
 from repro.graphs.io import (
@@ -14,11 +22,15 @@ from repro.graphs.io import (
     parse_graph,
     read_edge_list,
     read_metis,
+    stream_edge_list_to_mmap,
     to_json,
     write_edge_list,
     write_metis,
 )
 from repro.graphs.weighted import WeightedCSRGraph, weights_by_name
+from repro.serve.store import graph_digest
+
+from tests.edge_list_oracle import parse_edge_list_oracle
 
 
 def weighted_fixture() -> WeightedCSRGraph:
@@ -323,3 +335,262 @@ class TestLoadGraph:
     def test_ambiguous_but_identical_parses_fine(self):
         # Both interpretations yield the empty graph — no ambiguity.
         assert parse_graph("0 0\n").num_vertices == 0
+
+
+# ---------------------------------------------------------------------------
+# the block tokenizer against the per-line oracle
+# ---------------------------------------------------------------------------
+_LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+_GAPS = [" ", "\t", "\x1f", "  ", " \t "]
+_MUTATIONS = [
+    None, "bad_token", "columns", "surplus", "missing", "range", "loop",
+]
+
+
+def _int_token(draw, value: int) -> str:
+    """``value`` spelled any way ``int()`` reads it."""
+    text = str(value)
+    style = draw(st.sampled_from(["plain", "plus", "zeros", "underscore"]))
+    if style == "plus" and value >= 0:
+        return "+" + text
+    if style == "zeros" and value >= 0:
+        return "0" * draw(st.integers(1, 3)) + text
+    if style == "underscore" and len(text) >= 2 and value >= 0:
+        cut = draw(st.integers(1, len(text) - 1))
+        return text[:cut] + "_" + text[cut:]
+    return text
+
+
+@st.composite
+def decorated_edge_lists(draw):
+    """An edge-list text with random decoration and at most one defect.
+
+    Returns ``(text, info)``; ``info`` names the defect and the line it
+    sits on, for the streaming reader's line-numbered range errors.
+    """
+    n = draw(st.integers(2, 12))
+    raw = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+            max_size=14,
+        )
+    )
+    pairs = [[u, (u + 1 + d) % n] for u, d in raw]
+    weighted = draw(st.booleans())
+    if weighted:  # duplicate weighted edges are refused; keep them rare
+        pairs = list({tuple(sorted(p)): p for p in pairs}.values())
+    weights = [
+        draw(st.floats(1e-3, 1e3, allow_nan=False)) for _ in pairs
+    ]
+    mutation = draw(st.sampled_from(_MUTATIONS))
+    m = len(pairs)
+    rows: list[list[str]] = []
+    for (u, v), w in zip(pairs, weights):
+        row = [_int_token(draw, u), _int_token(draw, v)]
+        if weighted:
+            prefix = draw(st.sampled_from(["", "+"]))
+            row.append(prefix + "{:.17g}".format(w))
+        rows.append(row)
+    target = draw(st.integers(0, max(len(rows) - 1, 0)))
+    if mutation == "surplus" and m:
+        m -= 1
+    elif mutation == "missing":
+        m += 1
+    elif rows and mutation == "bad_token":
+        # One bad token, sometimes a second (on the same row or a later
+        # one): the first one a row-by-row reader meets must win.
+        for later in range(draw(st.integers(1, 2))):
+            skip = draw(st.integers(0, len(rows) - 1 - target))
+            row = rows[target + later * skip]
+            col = draw(st.integers(0, len(row) - 1))
+            bad = ["x", "1.5", "0x1", "--1", "1e3"] if col < 2 else ["heavy"]
+            row[col] = draw(st.sampled_from(bad))
+    elif rows and mutation == "columns":
+        if draw(st.booleans()):
+            rows[target] = rows[target][:-1]
+        else:
+            rows[target] = rows[target] + ["7", "8"]
+    elif rows and mutation == "range":
+        rows[target][draw(st.integers(0, 1))] = draw(
+            st.sampled_from([str(n), "-1", str(n + 5)])
+        )
+    elif rows and mutation == "loop":
+        rows[target][1] = rows[target][0]
+    header = [_int_token(draw, n), _int_token(draw, m)]
+    if mutation == "bad_token" and not rows:
+        header[draw(st.integers(0, 1))] = "x"
+    # Interleave blank lines, comments and (maybe) the weighted marker.
+    lines: list[tuple[str, list[str] | None]] = []
+
+    def filler():
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["blank", "hash", "pct", "marker"]))
+            if kind == "blank":
+                lines.append((draw(st.sampled_from(["", " ", "\t"])), None))
+            elif kind == "hash":
+                lines.append(("# note 1 2", None))
+            elif kind == "pct":
+                lines.append(("%", None))
+            elif weighted or draw(st.integers(0, 4)) == 0:
+                marker = draw(st.sampled_from(["# weighted", " # weighted\t"]))
+                lines.append((marker, None))
+
+    filler()
+    lines.append(("", header))
+    for row in rows:
+        filler()
+        lines.append(("", row))
+    filler()
+    out = []
+    row_lines = []
+    for line_no, (literal, tokens) in enumerate(lines, start=1):
+        if tokens is None:
+            body = literal
+        else:
+            gaps = [draw(st.sampled_from(_GAPS)) for _ in tokens[1:]]
+            body = (
+                draw(st.sampled_from(["", " ", "\t"]))
+                + tokens[0]
+                + "".join(g + t for g, t in zip(gaps, tokens[1:]))
+                + draw(st.sampled_from(["", " ", "\t"]))
+            )
+            row_lines.append(line_no)
+        end = draw(st.sampled_from(_LINE_ENDS))
+        if not body and out and out[-1] == "\r" and end.startswith("\n"):
+            # "\r" + "" + "\n" would fuse into one "\r\n" terminator and
+            # swallow this empty line, so the line numbers would drift.
+            end = "\r\n"
+        out.append(body)
+        out.append(end)
+    if draw(st.booleans()):
+        out.pop()  # no final line break
+    info = {
+        "n": n,
+        "mutation": mutation,
+        # Line of the defective row (row_lines[0] is the header's).
+        "line": row_lines[target + 1] if rows else None,
+        # Neither a marker nor a "u v w" row: the streaming reader's input.
+        "plain": not any(
+            lit.strip() == "# weighted" for lit, tok in lines if tok is None
+        ) and all(len(tok) != 3 for _, tok in lines if tok is not None),
+    }
+    return "".join(out), info
+
+
+def _outcome(parse, text: str):
+    """``("graph", type, digest)`` or ``("error", message)``."""
+    try:
+        graph = parse(text)
+    except GraphError as exc:
+        return ("error", str(exc))
+    return ("graph", type(graph).__name__, graph_digest(graph))
+
+
+ORACLE = settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class TestBlockTokenizerOracle:
+    @ORACLE
+    @given(decorated_edge_lists(), st.sampled_from([1 << 18, 16, 5, 1]))
+    def test_in_memory_parser_matches_oracle(self, case, block_bytes):
+        text, _ = case
+        expected = _outcome(
+            lambda t: parse_edge_list_oracle(t, source="t"), text
+        )
+        with mock.patch.object(graphs_io, "_BLOCK_BYTES", block_bytes):
+            got = _outcome(
+                lambda t: parse_graph(t, format="edges", source="t"), text
+            )
+        assert got == expected
+
+    @settings(ORACLE, max_examples=100)
+    @given(decorated_edge_lists(), st.integers(1, 24))
+    def test_streaming_reader_matches_oracle(self, case, block_bytes):
+        text, info = case
+        expected = _outcome(
+            lambda t: parse_edge_list_oracle(t, source="t"), text
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "g.edges")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("ascii"))
+            try:
+                with mock.patch.object(graphs_io, "_BLOCK_BYTES", block_bytes):
+                    wrapper = stream_edge_list_to_mmap(
+                        path, os.path.join(tmp, "g.rgm")
+                    )
+            except GraphError as exc:
+                got = ("error", str(exc).replace(path, "t"))
+            else:
+                got = ("graph", "CSRGraph", graph_digest(wrapper.graph))
+                wrapper.close()
+        if not info["plain"]:
+            # Weighted rows and markers are the streaming reader's to refuse.
+            assert got[0] == "error"
+            if expected[0] == "graph":
+                assert "weighted inputs are not supported" in got[1]
+            return
+        if expected[0] == "error" and info["mutation"] in ("range", "loop"):
+            # The streaming reader range-checks each block, naming the line.
+            fault = (
+                f"edge endpoint out of range 0..{info['n'] - 1}"
+                if info["mutation"] == "range"
+                else "self-loops are not allowed"
+            )
+            expected = ("error", f"t:{info['line']}: {fault}")
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "3 2\n0 1 1.5\n2 x heavy\n",  # v before w on one row
+            "3 2\n0 1 1.5\n2 1 heavy\n",
+            "3 2\n0 y\nx 2\n",  # an earlier row before a later one
+            "3 2\n0 -\n9 2 7\n",  # a bad token before a column fault
+        ],
+    )
+    def test_first_fault_in_reading_order_wins(self, text):
+        with pytest.raises(GraphError) as want:
+            parse_edge_list_oracle(text, source="t")
+        with pytest.raises(GraphError) as got:
+            parse_graph(text, format="edges", source="t")
+        assert str(got.value) == str(want.value)
+
+    def test_block_cuts_keep_crlf_whole(self):
+        # A 1-byte block read ends at "\r" before its "\n" arrives.
+        text = "2 1\r\n0 1\r\n"
+        with mock.patch.object(graphs_io, "_BLOCK_BYTES", 1):
+            assert parse_graph(text, format="edges") == path_graph(2)
+
+    def test_non_ascii_byte_names_its_line(self):
+        with pytest.raises(GraphError, match=r"t:3: non-ASCII"):
+            parse_graph("2 1\n# ok\n0 1 \n", format="edges", source="t")
+
+    def test_undecodable_file_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.edges"
+        path.write_bytes(b"2 1\n0 \xff1\n")
+        for read in (read_edge_list, load_graph):
+            with pytest.raises(GraphError, match=r"bad\.edges:2: non-ASCII"):
+                read(path)
+
+    def test_vertical_tab_ends_a_line(self):
+        # str.splitlines() breaks on \v and \f; so does the tokenizer.
+        assert parse_graph("3 2\v0 1\f1 2", format="edges") == path_graph(3)
+
+    def test_parse_peak_memory_stays_below_the_per_line_parser(self):
+        g = grid_2d(300, 300)
+        text = f"{g.num_vertices} {g.num_edges}\n" + "".join(
+            f"{u} {v}\n" for u, v in g.edge_array()
+        )
+        tracemalloc.start()
+        try:
+            parse_graph(text, format="edges")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The per-line parser this tokenizer replaced peaked at ~33 MiB.
+        assert peak <= 33 * 2**20

@@ -23,7 +23,7 @@ from repro.graphs import (
 from repro.lowstretch import akpw_spanning_tree, stretch_report
 from repro.oracles import build_oracle
 from repro.solvers import LaplacianSolver, random_zero_sum_rhs, residual_norm
-from repro.spanners import ldd_spanner, measure_spanner_stretch
+from repro.spanners import measure_spanner_stretch
 from repro.trees import LCAIndex, bfs_forest_from_decomposition
 
 

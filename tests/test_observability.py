@@ -93,6 +93,22 @@ class TestServeTracing:
         assert text.count("trace ") == 1
         assert "pool.execute" in text
 
+    def test_upload_layers_are_spans_under_the_server_span(self, loopback):
+        _, client, _ = loopback
+        text = "4 3\n0 1\n1 2\n2 3\n"
+        spans: list[dict] = []
+        trace.enable_tracing(spans.append)
+        reply = client.upload_text(text, "edges")
+        trace.disable_tracing()
+
+        assert reply["num_edges"] == 3
+        names = _by_name(spans)
+        server_span = names["server.upload"]
+        for layer in ("graphs.parse", "graphs.digest", "runtime.register"):
+            assert layer in names, f"missing span {layer}: {names.keys()}"
+            assert names[layer]["parent_id"] == server_span["span_id"]
+        assert len({record["trace_id"] for record in spans}) == 1
+
     def test_no_tracing_no_spans_header(self, loopback):
         _, client, digest = loopback
         response = client.decompose(digest, 0.3, seed=42)
@@ -177,6 +193,17 @@ class TestClusterObservability:
         assert server_span["parent_id"] == relay_span["span_id"]
         assert relay_span["attrs"]["shard"] in router.shard_labels
         assert relay_span["attrs"]["plane"] in ("relay", "task")
+
+    def test_router_parses_an_upload_inside_its_span(self, cluster):
+        _, client, _ = cluster
+        spans: list[dict] = []
+        trace.enable_tracing(spans.append)
+        client.upload_text("3 2\n0 1\n1 2\n", "edges")
+        trace.disable_tracing()
+
+        router_span = _by_name(spans)["router.upload"]
+        parsed = [s for s in spans if s["name"] == "graphs.parse"]
+        assert [s["parent_id"] for s in parsed] == [router_span["span_id"]]
 
     def test_metrics_fan_out_merges_all_shards(self, cluster):
         router, client, digest = cluster

@@ -10,8 +10,6 @@ that grew streaming paths (quotient, components, AKPW, hierarchies).
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -31,7 +29,7 @@ from repro.graphs import (
     stream_metis_to_mmap,
 )
 from repro.graphs.build import from_edges
-from repro.graphs.generators import erdos_renyi, grid_2d, path_graph
+from repro.graphs.generators import erdos_renyi, path_graph
 from repro.graphs.io import write_edge_list, write_metis
 from repro.graphs.mmapcsr import MmapCSR, MmapLayout, validate_csr_chunked
 from repro.graphs.weighted import weights_by_name

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bfs.frontier import frontier_bfs
 from repro.bfs.sequential import bfs, multi_source_bfs
-from repro.graphs.build import from_edges
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import from_json, to_json
 from repro.graphs.ops import (

@@ -276,6 +276,18 @@ class TestProtocol:
         with pytest.raises(ServeError, match="malformed frame"):
             decode_frame_payload(_v2_body(b"[" * 100_000))
 
+    @pytest.mark.parametrize("dtype", ["<,8", ",", "("])
+    def test_unparseable_dtype_is_a_serve_error(self, dtype):
+        header = json.dumps(
+            {"op": "upload", "arrays": {"w": {
+                "__nd__": [0, 8], "dtype": dtype, "shape": [1],
+            }}}
+        ).encode("utf-8")
+        body = _v2_body(header, bytes(8))
+        _decoders_only_raise_serve_error(body)
+        with pytest.raises(ServeError, match="malformed array payload"):
+            decode_frame_payload(body)
+
     @_FUZZ
     @given(header=_HEADERS, tail=st.binary(max_size=48))
     def test_random_headers_raise_only_serve_error(self, header, tail):

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, GraphError, ParameterError
-from repro.graphs.build import from_edges
 from repro.graphs.generators import cycle_graph, erdos_renyi, grid_2d, path_graph
-from repro.graphs.weighted import uniform_weights, weighted_from_edges
+from repro.graphs.weighted import weighted_from_edges
 from repro.lowstretch.akpw import akpw_spanning_tree, bfs_spanning_tree
-from repro.solvers.jacobi import JacobiPreconditioner
 from repro.solvers.laplacian import (
     component_projector,
     graph_laplacian,

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphError
-from repro.bfs.sequential import bfs
 from repro.core.ldd_bfs import partition_bfs
 from repro.graphs.build import from_edges
 from repro.graphs.generators import erdos_renyi, grid_2d, hypercube

@@ -8,7 +8,7 @@ import pytest
 from repro.errors import GraphError, ParameterError
 from repro.bfs.sequential import bfs
 from repro.core.ldd_bfs import partition_bfs
-from repro.graphs.generators import binary_tree, grid_2d, path_graph
+from repro.graphs.generators import binary_tree, grid_2d
 from repro.trees.lca import LCAIndex
 from repro.trees.structure import RootedForest, bfs_forest_from_decomposition
 
