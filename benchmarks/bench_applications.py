@@ -299,6 +299,10 @@ class TestLevelParallelCluster:
         ``BENCH_applications.json``; the ≥{floor}× floor is asserted only
         on ≥{cores}-core machines (a parallel-hardware claim, and CI
         runners routinely have 2).
+
+        The hierarchy runs a per-piece method (``uniform``): with a shift
+        method every level is one BFS on the level kernel and sends the
+        cluster no request at all.
         """
         from repro.cluster import ClusterProvider, cluster_background
 
@@ -313,9 +317,12 @@ class TestLevelParallelCluster:
                 sha.update(np.ascontiguousarray(level).tobytes())
             return sha.hexdigest()
 
+        method = "uniform"
         with EngineProvider() as engine:
             expected = labels_digest(
-                hierarchical_decomposition(graph, seed=seed, provider=engine)
+                hierarchical_decomposition(
+                    graph, seed=seed, method=method, provider=engine
+                )
             )
 
         timings: dict[str, float] = {}
@@ -331,7 +338,7 @@ class TestLevelParallelCluster:
                 ) as provider:
                     start = time.perf_counter()
                     hierarchy = hierarchical_decomposition(
-                        graph, seed=seed, provider=provider,
+                        graph, seed=seed, method=method, provider=provider,
                         max_concurrent=max_concurrent,
                     )
                     timings[label] = time.perf_counter() - start
@@ -385,14 +392,21 @@ class TestPipelineReuse:
 
         Self-contained — it drives known repeated configurations on the
         shared provider and measures the hit delta, so it holds under
-        ``-k``/xdist selection just as well as after the full module."""
+        ``-k``/xdist selection just as well as after the full module.
+        It runs a per-piece method (``uniform``): the shift methods build
+        each level in one BFS on the level kernel and send no request."""
         before = provider.stats()
         graph = torus_2d(8, 8) if SMOKE else torus_2d(16, 16)
+        method = "uniform"
         # Two identical AKPW builds: the second replays every level.
-        akpw_spanning_tree(graph, beta=0.4, seed=21, provider=provider)
-        akpw_spanning_tree(graph, beta=0.4, seed=21, provider=provider)
+        for _ in range(2):
+            akpw_spanning_tree(
+                graph, beta=0.4, seed=21, method=method, provider=provider
+            )
         # One hierarchy: pieces stable across levels hit the memo too.
-        hierarchical_decomposition(graph, seed=21, provider=provider)
+        hierarchical_decomposition(
+            graph, seed=21, method=method, provider=provider
+        )
         after = provider.stats()
         requests = after["requests"] - before["requests"]
         hits = after["memo_hits"] - before["memo_hits"]

@@ -1049,9 +1049,7 @@ def _print_stats_table(doc: dict) -> None:
             ),
         },
     }
-    for section in (
-        "router", "server", "cache", "store", "pool", "app_provider"
-    ):
+    for section in ("router", "server", "cache", "store", "pool"):
         block = doc.get(section)
         if not isinstance(block, dict):
             continue

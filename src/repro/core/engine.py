@@ -105,7 +105,11 @@ def graph_kind(graph: CSRGraph) -> str:
 
 def _resolve(graph: CSRGraph, method: str | None) -> MethodSpec:
     """Map (graph type, method name) to a spec, or fail listing choices."""
-    kind = graph_kind(graph)
+    return resolve_method(graph_kind(graph), method)
+
+
+def resolve_method(kind: str, method: str | None) -> MethodSpec:
+    """Map (graph kind, method name) to a spec, or fail listing choices."""
     if method is None or method == "auto":
         method = DEFAULT_METHODS[kind]
     spec = get_method(method)

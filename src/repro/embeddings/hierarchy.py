@@ -20,12 +20,9 @@ import numpy as np
 
 from repro.errors import GraphError, ParameterError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ops import (
-    connected_components,
-    quotient_graph,
-    split_by_labels,
-)
+from repro.graphs.ops import connected_components, quotient_graph
 from repro.pipeline import DecomposeRequest, resolve_provider
+from repro.pipeline.levels import decompose_level
 from repro.rng.seeding import SeedLike, derive_seed, ensure_int_seed
 
 __all__ = [
@@ -55,9 +52,7 @@ class Hierarchy:
                 raise GraphError("all levels must label every vertex")
         # Laminarity: equal labels at level ℓ must stay equal at level ℓ+1.
         for lo, hi in zip(self.labels[:-1], self.labels[1:]):
-            # Each fine piece must map into exactly one coarse piece.
-            pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-            if np.unique(pairs[:, 0]).shape[0] != pairs.shape[0]:
+            if not _refines(lo, hi):
                 raise GraphError("hierarchy is not laminar")
 
     @property
@@ -89,6 +84,28 @@ class Hierarchy:
         return out
 
 
+def _refines(fine: np.ndarray, coarse: np.ndarray) -> bool:
+    """Whether each ``fine`` label class lies inside one ``coarse`` class.
+
+    O(n) scatter check: write each vertex's coarse label into its fine
+    class's slot, then every vertex must read its own coarse label back.
+    Labels that are not dense ``0..n−1`` integers are densified first.
+    """
+    fine = np.asarray(fine)
+    coarse = np.asarray(coarse)
+    if not fine.size:
+        return True
+    if not (
+        np.issubdtype(fine.dtype, np.integer)
+        and fine.min() >= 0
+        and fine.max() < fine.size
+    ):
+        fine = np.unique(fine, return_inverse=True)[1].reshape(-1)
+    slot = np.empty(fine.size, dtype=coarse.dtype)
+    slot[fine] = coarse
+    return bool(np.array_equal(slot[fine], coarse))
+
+
 def hierarchical_decomposition(
     graph: CSRGraph,
     *,
@@ -106,20 +123,18 @@ def hierarchical_decomposition(
     ``ℓ`` re-decomposes every piece with ``β_ℓ = min(β_max, c·ln n / 2^ℓ)``.
     Level 0 is forced to singletons so the HST's leaves are vertices.
 
-    Per-piece decompositions run through the pipeline layer (``provider``,
-    ``method``, ``**options`` — see :mod:`repro.pipeline`).  A level's
-    pieces are independent, so each level is submitted as one
+    Each level decomposes every piece of the level above independently,
+    with a sub-seed derived from the root seed and the piece's *content
+    digest*, and allocates the fine labels in piece order.  With a shift
+    method (``bfs``, ``permutation``, ``quantile``; ``"auto"`` is
+    ``bfs``) a whole level is one shifted BFS on the level kernel
+    (:mod:`repro.pipeline.levels`), and ``provider`` receives no request.
+    Every other method sends each level's non-trivial pieces to
+    ``provider`` as one
     :meth:`~repro.pipeline.DecompositionProvider.decompose_batch`
-    (``max_concurrent`` bounds the in-flight window; ``None`` = the
-    backend's own bound) — concurrent backends overlap the pieces, and
-    outputs stay bit-identical to the serial loop because label
-    allocation happens afterwards in piece order.  Each piece's sub-seed
-    is derived from the root seed and the piece's *content digest* — so
-    a piece that survives unchanged from one level to the next (β capped
-    at ``beta_max`` at fine scales) issues the exact request it issued
-    before and the provider's memo answers it without recomputing, and
-    single-vertex pieces never reach the backend at all (their trivial
-    one-cluster assignment is applied locally).
+    (``max_concurrent`` bounds its in-flight window), where a piece that
+    survives a level unchanged repeats its request and hits the memo.
+    The labels are the same on every path and backend.
     """
     if not 0 < beta_max < 1:
         raise ParameterError("beta_max must be in (0, 1)")
@@ -254,44 +269,20 @@ def _refine(
 ) -> np.ndarray:
     """Decompose each coarse piece independently; return dense fine labels.
 
-    The level's pieces are carved out of ``graph`` together, in one
-    :func:`~repro.graphs.ops.split_by_labels` pass.  Each piece's seed is
-    ``derive_seed(root, "hierarchy", piece digest)`` — a pure function of
-    the root seed and the piece's content, independent of the level it
-    appears at, which is what makes repeated pieces cache hits in the
-    provider's memo.  The level's non-trivial pieces go to the
-    backend as one batch (concurrent backends overlap them); trivial
-    pieces — a single vertex is already its own cluster — are assigned
-    locally, costing no RPC.  Label allocation runs afterwards in piece
-    order, so the fine labels are bit-identical to the serial per-piece
-    loop regardless of how the batch was scheduled.
+    One :func:`~repro.pipeline.levels.decompose_level` call with the tag
+    ``"hierarchy"``: each piece's seed is ``derive_seed(root, "hierarchy",
+    piece digest)`` — a pure function of the root seed and the piece's
+    content, independent of the level it appears at.  Fine labels are
+    allocated in piece order, by sorting the distinct centers on (coarse
+    label, center id).
     """
-    fine = np.full(graph.num_vertices, -1, dtype=np.int64)
-    pieces = split_by_labels(graph, coarse)
-    requests = [
-        DecomposeRequest(
-            sub,
-            beta,
-            method=method,
-            seed=derive_seed(root_seed, "hierarchy", provider.graph_key(sub)),
-            options=options,
-        )
-        for _, sub in pieces
-        if sub is not None
-    ]
-    outcomes = iter(
-        provider.decompose_batch(requests, max_concurrent=max_concurrent)
+    decomposition = decompose_level(
+        graph, coarse, beta, root_seed=root_seed, tag="hierarchy",
+        method=method, options=options, provider=provider,
+        max_concurrent=max_concurrent,
     )
-    next_label = 0
-    for members, sub in pieces:
-        if sub is None:  # trivial piece: its own one-vertex cluster
-            if members.size:
-                fine[members] = next_label
-                next_label += 1
-            continue
-        decomposition = next(outcomes).decomposition
-        fine[members] = decomposition.labels + next_label
-        next_label += decomposition.num_pieces
-    if np.any(fine < 0):
-        raise GraphError("refinement missed vertices")
-    return fine
+    center = decomposition.center
+    _, fine = np.unique(
+        coarse[center] * graph.num_vertices + center, return_inverse=True
+    )
+    return fine.astype(np.int64)

@@ -781,20 +781,25 @@ def parse_graph(
     if stripped.startswith(("{", "[")):
         return from_json(text, source=source)
     data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+    header: list[str] = []
     for blk in _tokenized(data.read, source, check_ascii=False):
         if blk.lines.size:
             if blk.ntok[0] >= 3:  # the header's token count
                 return _parse_metis(text, source=source)
+            at = int(blk.first[0])
+            header = [blk.text(i) for i in range(at, at + int(blk.ntok[0]))]
             break
     try:
         as_edges: CSRGraph | None = _parse_edge_list(text, source=source)
         edge_exc: GraphError | None = None
     except GraphError as exc:
         as_edges, edge_exc = None, exc
-    try:
-        as_metis: CSRGraph | None = _parse_metis(text, source=source)
-    except GraphError:
-        as_metis = None
+    as_metis: CSRGraph | None = None
+    if as_edges is None or _metis_fits(header):
+        try:
+            as_metis = _parse_metis(text, source=source)
+        except GraphError:
+            pass
     if as_edges is not None and as_metis is not None:
         if _graphs_identical(as_edges, as_metis):
             return as_edges
@@ -813,6 +818,21 @@ def parse_graph(
         f"{source}: not parsable as any of {list(GRAPH_FORMATS)}; "
         f"edge-list parser said: {edge_exc}"
     ) from None
+
+
+def _metis_fits(header: list[str]) -> bool:
+    """Whether text that parsed as an edge list could be METIS too.
+
+    The edge list had exactly ``m`` rows after its ``n m`` header, each a
+    non-blank line that is no ``%`` comment.  METIS reads the same header
+    (or fails on a ``#`` line before it), and each such row is one of its
+    vertex lines, of which it allows ``n``: with ``m > n`` it must fail.
+    """
+    try:
+        n, m = (int(token) for token in header)
+    except ValueError:
+        return True
+    return m <= n
 
 
 def load_graph(path: str | Path, format: str = "auto") -> CSRGraph:

@@ -20,6 +20,8 @@ from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
 __all__ = [
     "induced_subgraph",
     "SubgraphResult",
+    "PieceLayout",
+    "piece_layout",
     "split_by_labels",
     "connected_components",
     "num_components",
@@ -63,6 +65,76 @@ def induced_subgraph(graph: CSRGraph, vertices: np.ndarray) -> SubgraphResult:
     return SubgraphResult(graph=sub, original_ids=vertices, new_ids=new_ids)
 
 
+@dataclass(frozen=True, eq=False)
+class PieceLayout:
+    """Every label class of a partition laid end to end, in label order.
+
+    ``graph`` is the parent graph with the arcs between classes dropped,
+    relabelled so that class ``c`` holds the contiguous ids
+    ``bounds[c]..bounds[c+1]−1``: layout id ``i`` stands for parent vertex
+    ``order[i]``.  Members are ascending within a class, so the
+    relabelling preserves vertex order inside every class, and the rows of
+    ``graph`` are sorted.
+    """
+
+    #: parent vertex of each layout id (stable sort by label).
+    order: np.ndarray
+    #: class ``c`` occupies layout ids ``bounds[c]:bounds[c+1]``.
+    bounds: np.ndarray
+    #: the intra-class arcs in layout ids (a block-diagonal CSR graph).
+    graph: CSRGraph
+
+    @property
+    def num_pieces(self) -> int:
+        return int(self.bounds.shape[0] - 1)
+
+    def piece_arrays(self, label: int) -> tuple[np.ndarray, np.ndarray]:
+        """Class ``label``'s induced subgraph as local ``(indptr, indices)``.
+
+        The arrays equal ``induced_subgraph(parent, members).graph``'s,
+        byte for byte.
+        """
+        lo, hi = int(self.bounds[label]), int(self.bounds[label + 1])
+        indptr = self.graph.indptr[lo : hi + 1]
+        a, b = int(indptr[0]), int(indptr[-1])
+        return indptr - a, self.graph.indices[a:b] - lo
+
+
+def piece_layout(graph: CSRGraph, labels: np.ndarray) -> PieceLayout:
+    """Lay out every label class of ``labels`` in one pass.
+
+    The cost is one stable argsort of ``labels``, one filter keeping the
+    arcs inside a class, and one sort of packed ``(source, target)`` layout
+    keys: O(n + m log m) for the whole partition.
+    """
+    labels = np.asarray(labels, dtype=VERTEX_DTYPE)
+    n = graph.num_vertices
+    if labels.shape != (n,):
+        raise GraphError("labels length must equal num_vertices")
+    if n and labels.min() < 0:
+        raise GraphError("labels must be non-negative")
+    k = int(labels.max()) + 1 if n else 0
+    order = np.argsort(labels, kind="stable")
+    bounds = np.zeros(k + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+    position = np.empty(n, dtype=VERTEX_DTYPE)
+    position[order] = np.arange(n, dtype=VERTEX_DTYPE)
+    src = graph.arc_sources()
+    dst = graph.indices
+    keep = labels[src] == labels[dst]
+    # Sorting (source, target) layout keys sorts arcs by class, then local
+    # source, then local target: layout ids are ordered that way.
+    keys = np.sort(position[src[keep]] * max(n, 1) + position[dst[keep]])
+    rows, targets = np.divmod(keys, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=VERTEX_DTYPE)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return PieceLayout(
+        order=order,
+        bounds=bounds,
+        graph=CSRGraph(indptr, targets, validate=False),
+    )
+
+
 def split_by_labels(
     graph: CSRGraph, labels: np.ndarray
 ) -> list[tuple[np.ndarray, CSRGraph | None]]:
@@ -75,60 +147,35 @@ def split_by_labels(
     they have no arcs, and callers treat them locally.
 
     Each piece is byte-identical to ``induced_subgraph(graph,
-    members).graph``, so its digest is too.  The cost is one stable
-    argsort of ``labels``, one filter keeping the arcs inside a class, and
-    one ``lexsort`` by (class, local source, local target): O(n + m log m)
-    for the whole partition, where a loop of :func:`induced_subgraph` calls
-    costs O(k · m).
+    members).graph``, so its digest is too.  The pieces are sliced out of
+    one :func:`piece_layout`: O(n + m log m) for the whole partition, where
+    a loop of :func:`induced_subgraph` calls costs O(k · m).  They are
+    valid by construction and skip ``CSRGraph`` validation.
     """
-    labels = np.asarray(labels, dtype=VERTEX_DTYPE)
-    n = graph.num_vertices
-    if labels.shape != (n,):
-        raise GraphError("labels length must equal num_vertices")
-    if n and labels.min() < 0:
-        raise GraphError("labels must be non-negative")
-    k = int(labels.max()) + 1 if n else 0
-    order = np.argsort(labels, kind="stable")
-    bounds = np.zeros(k + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
-    # local[v]: v's rank inside its class.  Members are ascending within a
-    # class (stable sort), exactly as induced_subgraph numbers them.
-    local = np.empty(n, dtype=VERTEX_DTYPE)
-    local[order] = np.arange(n, dtype=VERTEX_DTYPE) - np.repeat(
-        bounds[:-1], np.diff(bounds)
-    )
-    src = graph.arc_sources()
-    dst = graph.indices
-    keep = labels[src] == labels[dst]
-    src, dst = src[keep], dst[keep]
-    piece_of_arc = labels[src]
-    arc_order = np.lexsort((local[dst], local[src], piece_of_arc))
-    targets = local[dst][arc_order]
-    arc_bounds = np.zeros(k + 1, dtype=VERTEX_DTYPE)
-    np.cumsum(np.bincount(piece_of_arc, minlength=k), out=arc_bounds[1:])
-    # In-class degree of every vertex, listed in (class, local id) order.
-    degrees = np.bincount(src, minlength=n).astype(VERTEX_DTYPE)[order]
+    layout = piece_layout(graph, labels)
     pieces: list[tuple[np.ndarray, CSRGraph | None]] = []
-    for label in range(k):
-        lo, hi = int(bounds[label]), int(bounds[label + 1])
-        members = order[lo:hi]
+    for label in range(layout.num_pieces):
+        lo, hi = int(layout.bounds[label]), int(layout.bounds[label + 1])
+        members = layout.order[lo:hi]
         if hi - lo <= 1:
             pieces.append((members, None))
             continue
-        indptr = np.zeros(hi - lo + 1, dtype=VERTEX_DTYPE)
-        np.cumsum(degrees[lo:hi], out=indptr[1:])
-        indices = targets[arc_bounds[label] : arc_bounds[label + 1]]
-        pieces.append((members, CSRGraph(indptr, indices)))
+        indptr, indices = layout.piece_arrays(label)
+        pieces.append((members, CSRGraph(indptr, indices, validate=False)))
     return pieces
 
 
 def connected_components(graph: CSRGraph) -> np.ndarray:
     """Label vertices by connected component, labels dense in ``0..k−1``.
 
-    Delegates to ``scipy.sparse.csgraph`` (union-find in C): component
-    labelling is a substrate operation, not part of the paper's contribution,
-    so we use the fastest exact primitive available.  Labels are renumbered
-    by smallest contained vertex id so the output is deterministic.
+    Components are numbered by their smallest vertex id, so the output is
+    deterministic.  In-memory graphs use vectorised hooking and pointer
+    jumping (each round, every tree root hooks under the smallest root
+    across its arcs, then every vertex jumps to its root; O(m) numpy work
+    per round, O(log n) rounds in practice).  It needs no scipy, so a pool
+    worker that builds a hierarchy or a tree never imports it (on CPython
+    3.11/x86-64, importing ``scipy.sparse.csgraph`` adds ~22 MiB resident
+    and ~0.3 s).
     """
     n = graph.num_vertices
     if n == 0:
@@ -138,29 +185,28 @@ def connected_components(graph: CSRGraph) -> np.ndarray:
     from repro.graphs.backing import backing_kind
 
     if backing_kind(graph) == "mmap":
-        # scipy's csr_matrix copies the index arrays (and may downcast
-        # them), materialising O(m) in RAM — a BFS sweep streams the
-        # adjacency instead and produces the identical labelling
-        # (components numbered by smallest contained vertex).
+        # Hooking holds every arc in RAM — a BFS sweep streams the
+        # adjacency instead and produces the identical labelling.
         return _components_bfs(graph)
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components as _scipy_cc
-
-    mat = csr_matrix(
-        (
-            np.ones(graph.num_arcs, dtype=np.int8),
-            graph.indices,
-            graph.indptr,
-        ),
-        shape=(n, n),
-    )
-    _, raw = _scipy_cc(mat, directed=False)
-    # Renumber by first appearance for a canonical labelling.
-    _, first = np.unique(raw, return_index=True)
-    order = np.argsort(first)
-    remap = np.empty_like(order)
-    remap[order] = np.arange(order.size)
-    return remap[raw].astype(VERTEX_DTYPE)
+    parent = np.arange(n, dtype=VERTEX_DTYPE)
+    src, dst = graph.arc_sources(), graph.indices
+    while True:
+        root_src, root_dst = parent[src], parent[dst]
+        cross = root_src != root_dst
+        if not cross.any():
+            break
+        # Arcs inside one tree stay inside it; drop them for good.
+        src, dst = src[cross], dst[cross]
+        # Roots only ever hook under smaller ids, so no cycle forms and
+        # each component's root ends as its smallest vertex.
+        np.minimum.at(parent, root_src[cross], root_dst[cross])
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    is_root = parent == np.arange(n, dtype=VERTEX_DTYPE)
+    return (np.cumsum(is_root) - 1)[parent].astype(VERTEX_DTYPE)
 
 
 def _components_bfs(graph: CSRGraph) -> np.ndarray:

@@ -26,18 +26,10 @@ from repro.bfs.sequential import multi_source_bfs
 from repro.core.decomposition import Decomposition
 from repro.errors import GraphError, ParameterError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ops import (
-    connected_components,
-    quotient_graph,
-    split_by_labels,
-)
-from repro.pipeline import DecomposeRequest, resolve_provider
-from repro.rng.seeding import (
-    SeedLike,
-    derive_seed,
-    ensure_int_seed,
-    make_generator,
-)
+from repro.graphs.ops import connected_components, quotient_graph
+from repro.pipeline import resolve_provider
+from repro.pipeline.levels import decompose_level
+from repro.rng.seeding import SeedLike, ensure_int_seed, make_generator
 from repro.trees.structure import RootedForest, bfs_forest_from_decomposition
 
 __all__ = ["AKPWResult", "akpw_spanning_tree", "bfs_spanning_tree"]
@@ -75,17 +67,16 @@ def akpw_spanning_tree(
     pieces per level → more levels → higher stretch but shallower trees).
     Works on disconnected graphs (yields one tree per component).
 
-    Per-level decompositions run through the pipeline layer (``provider``,
-    ``method``, ``**options`` — see :mod:`repro.pipeline`).  A level's
-    connected components are independent, so they are submitted together
-    through :meth:`~repro.pipeline.DecompositionProvider.decompose_batch`
-    (``max_concurrent`` bounds the in-flight window; ``None`` = the
-    backend's own bound).  Each piece's sub-seed is derived from the root
-    seed and the piece's *content digest*, so results are independent of
-    submission order and concurrency — bit-identical on every backend at
-    any ``max_concurrent`` — and identical pieces dedup into one
-    execution.  Single-vertex components never leave the process: they
-    are assigned their trivial one-cluster decomposition locally.
+    Each level decomposes its connected components independently, each
+    with a sub-seed derived from the root seed and the component's
+    *content digest*.  With a shift method (``bfs``, ``permutation``,
+    ``quantile``; ``"auto"`` is ``bfs``) a level is one shifted BFS on the
+    level kernel (:mod:`repro.pipeline.levels`), and ``provider``
+    receives no request.  Every other method sends each level's
+    non-trivial components to ``provider`` as one
+    :meth:`~repro.pipeline.DecompositionProvider.decompose_batch`
+    (``max_concurrent`` bounds its in-flight window).  The tree is the
+    same on every path and backend.
     """
     if not 0 < beta < 1:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
@@ -165,57 +156,22 @@ def _decompose_level(
     options: dict,
     max_concurrent: int | None,
 ) -> Decomposition:
-    """Decompose one AKPW level, batching its independent components.
+    """Decompose one AKPW level, each connected component on its own.
 
-    The level's connected components are decomposed independently (one
-    :class:`DecomposeRequest` per non-trivial component, seeded by the
-    component's content digest) and stitched back into one global
-    :class:`Decomposition` on ``cur``.  Decomposing a component of its
-    containing graph is exact — no shift sequence ever crosses a component
-    boundary — so the stitched result equals a whole-graph decomposition
-    with per-component seeding, on any backend, in any completion order.
+    One :func:`~repro.pipeline.levels.decompose_level` call with the tag
+    ``"akpw"`` and the components as pieces, each seeded by its content
+    digest.  Decomposing a component of its containing graph is exact —
+    no shift sequence ever crosses a component boundary.  A connected
+    level is decomposed in place with the seed of ``graph_digest(cur)``,
+    so a memmap-backed level 0 is never copied.
     """
     labels = connected_components(cur)
     num_components = int(labels.max()) + 1 if labels.size else 0
-    if num_components <= 1:
-        request = DecomposeRequest(
-            cur,
-            beta,
-            method=method,
-            seed=derive_seed(root_seed, "akpw", provider.graph_key(cur)),
-            options=options,
-        )
-        outcome = provider.decompose_batch(
-            [request], max_concurrent=max_concurrent
-        )
-        return outcome[0].decomposition
-    # Trivial default: every vertex its own piece — correct as-is for
-    # single-vertex components, overwritten for the decomposed ones.
-    center = np.arange(cur.num_vertices, dtype=np.int64)
-    hops = np.zeros(cur.num_vertices, dtype=np.int64)
-    nontrivial = [
-        (members, sub)
-        for members, sub in split_by_labels(cur, labels)
-        if sub is not None
-    ]
-    requests = [
-        DecomposeRequest(
-            sub,
-            beta,
-            method=method,
-            seed=derive_seed(root_seed, "akpw", provider.graph_key(sub)),
-            options=options,
-        )
-        for _, sub in nontrivial
-    ]
-    results = provider.decompose_batch(
-        requests, max_concurrent=max_concurrent
+    return decompose_level(
+        cur, labels if num_components > 1 else None, beta,
+        root_seed=root_seed, tag="akpw", method=method, options=options,
+        provider=provider, max_concurrent=max_concurrent,
     )
-    for (members, _), result in zip(nontrivial, results):
-        sub_dec = result.decomposition
-        center[members] = members[sub_dec.center]
-        hops[members] = sub_dec.hops
-    return Decomposition(graph=cur, center=center, hops=hops)
 
 
 def _map_to_original(

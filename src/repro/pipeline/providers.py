@@ -22,18 +22,19 @@ this), *which* provider executes a request never changes its result:
 application outputs are bit-identical across all three.  That same purity
 licenses the built-in **memo layer**: every provider carries a byte-budgeted
 :class:`~repro.serve.cache.ResultCache` keyed by the canonical request
-tuple, so multi-level consumers (AKPW's quotient recursion, hierarchy
-refinement) and repeated application builds reuse decompositions instead of
-recomputing them.
+tuple, so repeated application builds (and multi-level builds on a
+per-piece method) reuse decompositions instead of recomputing them.
 
 Providers require **integer seeds** — the explicit seed is what makes a
 request executable on any backend and memoizable; applications normalise
 their ``SeedLike`` inputs with :func:`repro.rng.seeding.ensure_int_seed`
 and derive per-level sub-seeds with :func:`~repro.rng.seeding.derive_seed`.
 
-Multi-level applications whose pieces within a level are independent
-(AKPW's per-component decompositions, the hierarchy's per-piece
-refinements) submit a whole level at once through
+The multi-level applications (AKPW, the top-down hierarchy) decompose a
+level with a shift method (``bfs``, ``permutation``, ``quantile``) in one
+BFS on the level kernel (:mod:`repro.pipeline.levels`) and send the
+provider nothing.  On any other method they submit a whole level's
+independent pieces at once through
 :meth:`DecompositionProvider.decompose_batch`: a list of
 :class:`DecomposeRequest` values, answered in request order.  The base
 implementation is serial; :class:`PoolProvider` fans a batch into the
@@ -81,7 +82,7 @@ DEFAULT_MEMO_BYTES = 64 * 1024 * 1024
 #: under remote backends — a pool/serve round trip costs more than a tiny
 #: decomposition.  Results are identical either way (derandomization), so
 #: this is purely a transport choice.  0 = never inline, keeping backend
-#: semantics pure by default; the serve layer's app provider raises it.
+#: semantics pure by default.
 DEFAULT_INLINE_CUTOFF = 0
 
 
@@ -128,11 +129,6 @@ class DecompositionProvider:
     ----------
     memo_bytes:
         Byte budget of the provider's memo cache (0 disables memoization).
-    memo:
-        An externally owned :class:`~repro.serve.cache.ResultCache` to use
-        instead of creating one — the serve layer passes its own cache so
-        application decompositions and client requests share one budget and
-        one set of counters.  Overrides ``memo_bytes``.
     inline_cutoff:
         Graphs with ``num_edges`` at or below this run on the in-process
         engine instead of the backend (0 = always use the backend).
@@ -145,10 +141,9 @@ class DecompositionProvider:
         self,
         *,
         memo_bytes: int = DEFAULT_MEMO_BYTES,
-        memo: ResultCache | None = None,
         inline_cutoff: int = DEFAULT_INLINE_CUTOFF,
     ) -> None:
-        self._memo = memo if memo is not None else ResultCache(int(memo_bytes))
+        self._memo = ResultCache(int(memo_bytes))
         self._inline_cutoff = int(inline_cutoff)
         self._requests = 0
         self._memo_hits = 0
@@ -411,8 +406,8 @@ class PoolProvider(DecompositionProvider):
     """Shared-memory batch-runtime backend.
 
     Wraps a :class:`~repro.runtime.pool.DecompositionPool` — either an
-    externally owned one (the serve layer passes the server's pool) or one
-    the provider creates and owns.  Graphs the provider registers itself
+    externally owned one (a server's pool, say) or one the provider
+    creates and owns.  Graphs the provider registers itself
     live under a *provider-private key namespace* (``pipelineN:<digest>``),
     so they can never collide with — or be evicted out from under — keys
     owned by others sharing the pool (the serve layer's graph store

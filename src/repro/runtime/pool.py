@@ -51,6 +51,7 @@ from repro.runtime.shm import (
     attach_shared,
     share_graph,
 )
+from repro.telemetry import trace as _trace
 
 __all__ = ["DecompositionPool", "DecompositionRequest"]
 
@@ -124,6 +125,21 @@ def _worker_graph(graph_key: str, descriptor: SharedGraphDescriptor):
     return attached.graph
 
 
+def _traced(trace_ctx: dict | None, run, **attrs) -> tuple:
+    """``(run(), spans)``: with a propagated trace context, the spans are
+    the ``pool.execute`` span (carrying ``attrs``) and everything under
+    it, collected in this worker for the parent to emit."""
+    if trace_ctx is None:
+        return run(), ()
+    with _trace.collect_spans() as spans:
+        with _trace.adopt_context(
+            trace_ctx.get("trace_id"), trace_ctx.get("span_id")
+        ):
+            with _trace.span("pool.execute", **attrs):
+                value = run()
+    return value, tuple(spans)
+
+
 def _execute_request(payload: tuple) -> tuple:
     """Run one request against the worker's attached graph, return it slim.
 
@@ -141,30 +157,36 @@ def _execute_request(payload: tuple) -> tuple:
     graph_key, descriptor, beta, method, seed, validate, options = payload[:7]
     trace_ctx = payload[7] if len(payload) > 7 else None
     graph = _worker_graph(graph_key, descriptor)
-    if trace_ctx is None:
+
+    def run() -> PartitionResult:
         result = decompose(
             graph, beta, method=method, seed=seed, validate=validate,
             **options,
         )
-        result.decomposition.summary()
-        return _slim_result(result)
-    from repro.telemetry import trace as _trace
+        with _trace.span("pool.summary"):
+            result.decomposition.summary()
+        return result
 
-    with _trace.collect_spans() as spans:
-        with _trace.adopt_context(
-            trace_ctx.get("trace_id"), trace_ctx.get("span_id")
-        ):
-            with _trace.span(
-                "pool.execute",
-                graph_key=graph_key, method=method, seed=seed,
-            ):
-                result = decompose(
-                    graph, beta, method=method, seed=seed,
-                    validate=validate, **options,
-                )
-                with _trace.span("pool.summary"):
-                    result.decomposition.summary()
-    return _slim_result(result, spans=tuple(spans))
+    result, spans = _traced(
+        trace_ctx, run, graph_key=graph_key, method=method, seed=seed
+    )
+    return _slim_result(result, spans=spans)
+
+
+def _execute_call(payload: tuple) -> tuple:
+    """Run ``func(graph, *args)`` against the worker's attached graph.
+
+    The generic task behind :meth:`DecompositionPool.submit_call`:
+    ``func`` is a module-level function (pickled by reference) returning
+    a picklable value.  Returns ``(value, spans)``, with spans as in
+    :func:`_execute_request`.
+    """
+    graph_key, descriptor, func, args, trace_ctx = payload
+    graph = _worker_graph(graph_key, descriptor)
+    return _traced(
+        trace_ctx, lambda: func(graph, *args),
+        graph_key=graph_key, call=func.__name__,
+    )
 
 
 def _slim_result(result: PartitionResult, spans: tuple = ()) -> tuple:
@@ -497,6 +519,34 @@ class DecompositionPool:
         out = _chain_future(raw, lambda slim: _rehydrate_result(graph, slim))
         out.add_done_callback(self._count_done)
         return out
+
+    def submit_call(
+        self,
+        graph_key: str,
+        func,
+        *args: object,
+        trace_ctx: dict | None = None,
+    ) -> "Future[tuple[object, tuple]]":
+        """Enqueue ``func(graph, *args)`` on a worker; a future of
+        ``(value, spans)``.
+
+        ``graph`` is the worker's attached copy of the graph registered
+        under ``graph_key``; ``func`` must be a module-level function and
+        its arguments and return value picklable.  ``trace_ctx`` works as
+        in :meth:`submit`.  One call counts as one submitted task.
+        """
+        if self._pool is None:
+            raise ParameterError("DecompositionPool is shut down")
+        descriptor = self._shared[self._check_key(graph_key)].descriptor
+        payload = (
+            graph_key, descriptor, func, tuple(args),
+            None if trace_ctx is None else dict(trace_ctx),
+        )
+        raw = self._pool.submit(_execute_call, payload)
+        with self._stats_lock:
+            self._submitted += 1
+        raw.add_done_callback(self._count_done)
+        return raw
 
     def decompose(
         self,

@@ -15,17 +15,16 @@ layers keep repeat traffic cheap:
    execution (the in-flight future), costing one worker slot, not N.
 
 Beyond raw decompositions, the server executes **application ops** —
-``spanner``, ``lowstretch_tree``, ``hierarchy`` — end to end: the
-application code runs server-side through a
-:class:`~repro.pipeline.PoolProvider` over the same worker pool, against
-the same store, and its results flow through the same cache and coalescing
-table (namespaced by op in the canonical key), so a warm spanner request
-costs a frame round trip, exactly like a warm decomposition.
+``spanner``, ``lowstretch_tree``, ``hierarchy`` — end to end: each op is
+one pool task (:mod:`repro.serve.apps`) that runs the application in a
+worker against that worker's copy of the stored graph, and its result
+flows through the same cache and coalescing table (namespaced by op in
+the canonical key), so a warm spanner request costs a frame round trip,
+exactly like a warm decomposition.  The server itself only encodes.
 
 Registry mutations (upload, cache insert, coalesce bookkeeping) happen only
-on the event loop — single-threaded by construction, no locks; application
-ops run on executor threads but only touch the thread-safe cache, pool and
-provider.  The wire protocol is documented in :mod:`repro.serve.protocol`
+on the event loop — single-threaded by construction, no locks.  The wire
+protocol is documented in :mod:`repro.serve.protocol`
 and DESIGN.md §7–8.
 
 Lifecycle: :meth:`DecompositionServer.run_async` inside an event loop you
@@ -70,6 +69,7 @@ from repro.graphs.mmapcsr import (
 )
 from repro.core.registry import describe_methods
 from repro.runtime.pool import DecompositionPool
+from repro.serve import apps
 from repro.serve.cache import DEFAULT_MAX_BYTES, ResultCache
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
@@ -317,10 +317,10 @@ def _chunked_manifest(message: dict) -> tuple[str, list, str, int, tuple]:
     return cls_name, recipe, sha, total, manifest_key
 
 
-#: Application-op recursion graphs at or below this edge count run inline
-#: on the executor thread instead of crossing into the worker pool — a
-#: round trip costs more than a tiny decomposition, and the result is
-#: identical either way (derandomization).
+#: Edge-count cutoff for running a tiny decomposition in process instead
+#: of on the pool (``PoolProvider(inline_cutoff=...)``).  The server does
+#: not read it (an application op is one pool task); it stays importable
+#: for ``perfbench/layers.py``'s traced replay.
 APP_INLINE_CUTOFF = 2048
 
 
@@ -428,7 +428,6 @@ class DecompositionServer:
         self.address: tuple[str, int] | None = None
         self.preloaded: tuple[str, ...] = ()
 
-        self._app_provider = None
         self._upload_sessions: dict[str, _UploadSession] = {}
         self._spool_dir: str | None = None
         self._connections = 0
@@ -456,20 +455,6 @@ class DecompositionServer:
         )
         try:
             self._store = GraphStore(self._pool)
-            # Application ops run through this provider: top-level graphs
-            # are already pool-resident under their digest (the store
-            # registered them), recursion-level graphs get ephemeral
-            # registrations, and tiny subproblems run inline on the
-            # executor thread.  It shares the server's ResultCache, so
-            # application-internal decompositions and client `decompose`
-            # requests draw on one byte budget (namespaced keys).
-            from repro.pipeline import PoolProvider
-
-            self._app_provider = PoolProvider(
-                self._pool,
-                memo=self._cache,
-                inline_cutoff=APP_INLINE_CUTOFF,
-            )
             self.preloaded = tuple(
                 self._store.put(graph)[0] for graph in self._preload
             )
@@ -541,9 +526,6 @@ class DecompositionServer:
         if self._conn_tasks:
             await asyncio.gather(*self._conn_tasks, return_exceptions=True)
         self._conn_tasks.clear()
-        provider, self._app_provider = self._app_provider, None
-        if provider is not None:
-            provider.close()
         sessions, self._upload_sessions = self._upload_sessions, {}
         for session in sessions.values():
             session.broken = "server shut down"
@@ -1272,18 +1254,26 @@ class DecompositionServer:
                 stack.extend(node)
         return total
 
-    async def _run_app(self, key: tuple, build) -> tuple[dict, bool, bool]:
+    async def _run_app(self, key: tuple, digest: str, build, *args):
         """Execute one application op through the cache/coalescing layer.
 
-        ``build`` runs on an executor thread (the application code blocks
-        on pool futures internally) and returns the client-ready payload;
-        its cache charge is :meth:`_app_payload_nbytes`.
+        ``build`` is a :mod:`repro.serve.apps` function; it runs as one
+        pool task against the worker's copy of the graph under
+        ``digest`` and returns the client-ready payload, whose cache
+        charge is :meth:`_app_payload_nbytes`.  The worker's spans ship
+        home with it.
         """
         self._app_requests += 1
 
         async def _compute():
             self._app_executions += 1
-            payload = await self._loop.run_in_executor(None, build)
+            payload, spans = await asyncio.wrap_future(
+                self._pool.submit_call(
+                    digest, build, *args,
+                    trace_ctx=_trace.current_context(),
+                )
+            )
+            _trace.emit_spans(spans)
             return payload, self._app_payload_nbytes(payload)
 
         return await self._memoized(key, _compute)
@@ -1297,30 +1287,9 @@ class DecompositionServer:
         key = canonical_cache_key(
             digest, beta, spec.name, seed, bound, op="spanner"
         )
-
-        def _build():
-            from repro.spanners.cluster_spanner import ldd_spanner
-
-            res = ldd_spanner(
-                graph, beta, seed=seed, method=spec.name,
-                provider=self._app_provider, **options,
-            )
-            edges = res.spanner.edge_array()
-            payload = {
-                "op": "spanner",
-                "stretch_bound": int(res.stretch_bound),
-                "num_tree_edges": int(res.num_tree_edges),
-                "num_bridge_edges": int(res.num_bridge_edges),
-                "num_edges": int(res.num_edges),
-                "edges": edges,
-                "summary": {
-                    "method": spec.name,
-                    **res.decomposition.summary(),
-                },
-            }
-            return payload
-
-        payload, cached, coalesced = await self._run_app(key, _build)
+        payload, cached, coalesced = await self._run_app(
+            key, digest, apps.build_spanner, beta, seed, spec.name, options
+        )
         return {
             "ok": True,
             "digest": digest,
@@ -1345,24 +1314,10 @@ class DecompositionServer:
             digest, beta, spec.name, seed, bound,
             op="lowstretch_tree", extra={"max_levels": max_levels},
         )
-
-        def _build():
-            from repro.lowstretch.akpw import akpw_spanning_tree
-
-            res = akpw_spanning_tree(
-                graph, beta=beta, seed=seed, max_levels=max_levels,
-                method=spec.name, provider=self._app_provider, **options,
-            )
-            payload = {
-                "op": "lowstretch_tree",
-                "parent": res.forest.parent,
-                "level_sizes": [list(pair) for pair in res.level_sizes],
-                "level_betas": list(res.level_betas),
-                "num_levels": int(res.num_levels),
-            }
-            return payload
-
-        payload, cached, coalesced = await self._run_app(key, _build)
+        payload, cached, coalesced = await self._run_app(
+            key, digest, apps.build_lowstretch_tree,
+            beta, seed, max_levels, spec.name, options,
+        )
         return {
             "ok": True,
             "digest": digest,
@@ -1385,24 +1340,10 @@ class DecompositionServer:
             op="hierarchy",
             extra={"beta_max": beta_max, "radius_constant": radius_constant},
         )
-
-        def _build():
-            from repro.embeddings.hierarchy import hierarchical_decomposition
-
-            h = hierarchical_decomposition(
-                graph, seed=seed, beta_max=beta_max,
-                radius_constant=radius_constant, method=spec.name,
-                provider=self._app_provider, **options,
-            )
-            payload = {
-                "op": "hierarchy",
-                "labels": list(h.labels),
-                "scale": [float(s) for s in h.scale],
-                "num_levels": int(h.num_levels),
-            }
-            return payload
-
-        payload, cached, coalesced = await self._run_app(key, _build)
+        payload, cached, coalesced = await self._run_app(
+            key, digest, apps.build_hierarchy,
+            seed, beta_max, radius_constant, spec.name, options,
+        )
         return {
             "ok": True,
             "digest": digest,
@@ -1412,16 +1353,6 @@ class DecompositionServer:
         }
 
     async def _op_stats(self, message: dict) -> dict:
-        provider_stats = None
-        if self._app_provider is not None:
-            # Snapshot-copy before redacting: stats() may hand back (or
-            # later be changed to hand back) live internal state, and a
-            # pop() on it would silently delete the provider's own keys.
-            provider_stats = dict(self._app_provider.stats())
-            # The provider shares the server cache and pool; their numbers
-            # are reported top-level already.
-            provider_stats.pop("memo", None)
-            provider_stats.pop("pool", None)
         return {
             "ok": True,
             "server": {
@@ -1440,7 +1371,6 @@ class DecompositionServer:
             "cache": self._cache.stats(),
             "store": self._store.stats(),
             "pool": self._pool.stats(),
-            "app_provider": provider_stats,
         }
 
     async def _op_metrics(self, message: dict) -> dict:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections.abc import Mapping
 
 import numpy as np
 
 from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
 
-__all__ = ["graph_digest", "GraphStore"]
+__all__ = ["csr_digest", "graph_digest", "GraphStore"]
 
 logger = logging.getLogger(__name__)
 
@@ -42,19 +43,30 @@ def graph_digest(graph: CSRGraph) -> str:
         )
     # getattr: an unpickled graph skips __init__ and may lack the slot.
     digest = getattr(graph, "_digest", None)
-    if digest is not None:
-        return digest
+    if digest is None:
+        digest = csr_digest(type(graph).__name__, graph.csr_arrays())
+        graph._digest = digest
+    return digest
+
+
+def csr_digest(class_name: str, arrays: Mapping[str, np.ndarray]) -> str:
+    """The digest :func:`graph_digest` gives a ``class_name`` graph whose
+    ``csr_arrays()`` are ``arrays`` — without building that graph.
+
+    The one owner of the digest byte format: the class name, then per
+    array in name order its name, little-endian dtype string, shape and
+    raw bytes.
+    """
     sha = hashlib.sha256()
-    sha.update(type(graph).__name__.encode("utf-8"))
-    for name, arr in sorted(graph.csr_arrays().items()):
+    sha.update(class_name.encode("utf-8"))
+    for name, arr in sorted(arrays.items()):
         arr = np.ascontiguousarray(arr)
         canonical = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
         sha.update(name.encode("utf-8"))
         sha.update(canonical.dtype.str.encode("ascii"))
         sha.update(repr(tuple(arr.shape)).encode("ascii"))
         _hash_array_bytes(sha, canonical)
-    graph._digest = digest = sha.hexdigest()
-    return digest
+    return sha.hexdigest()
 
 
 #: Digest streaming granularity: big enough to amortise call overhead,

@@ -336,6 +336,27 @@ class TestLoadGraph:
         # Both interpretations yield the empty graph — no ambiguity.
         assert parse_graph("0 0\n").num_vertices == 0
 
+    def test_auto_skips_metis_when_edge_rows_outnumber_vertices(
+        self, tmp_path
+    ):
+        # An edge list with m > n rows cannot be METIS (which allows n
+        # vertex lines), so "auto" must not run the METIS parser at all.
+        graph = erdos_renyi(20000, 0.0004, seed=0)
+        assert graph.num_edges > graph.num_vertices
+        path = tmp_path / "er.edges"
+        write_edge_list(graph, path)
+        text = path.read_text()
+
+        def _refuse(*args, **kwargs):
+            raise AssertionError("METIS parser ran on an edge list")
+
+        with mock.patch.object(graphs_io, "_parse_metis", _refuse):
+            assert graph_digest(parse_graph(text)) == graph_digest(graph)
+        # With m <= n both readings stay possible, and METIS still runs.
+        with mock.patch.object(graphs_io, "_parse_metis", _refuse):
+            with pytest.raises(AssertionError, match="METIS parser ran"):
+                parse_graph("4 3\n2 3\n1 3\n1 2\n\n")
+
 
 # ---------------------------------------------------------------------------
 # the block tokenizer against the per-line oracle

@@ -171,6 +171,35 @@ class TestConnectedComponents:
         assert is_connected(from_edges(1, []))
         assert is_connected(from_edges(0, []))
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_hooking_matches_scipy_and_the_bfs_sweep(self, seed):
+        """The in-memory hooking labels equal scipy's components
+        renumbered by smallest vertex, and the streaming BFS sweep's."""
+        csgraph = pytest.importorskip("scipy.sparse.csgraph")
+        from scipy.sparse import csr_matrix
+
+        from repro.graphs.ops import _components_bfs
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        # Shuffled paths and random sparse edges: long chains whose ids
+        # are not in order, plus isolated vertices.
+        perm = rng.permutation(n)
+        chain = np.stack([perm[:-1], perm[1:]], axis=1)[: n // 2]
+        extra = rng.integers(0, n, size=(n // 4, 2))
+        edges = np.concatenate([chain, extra[extra[:, 0] != extra[:, 1]]])
+        g = from_edges(n, edges, dedup=True)
+        labels = connected_components(g)
+        mat = csr_matrix(
+            (np.ones(g.num_arcs), g.indices, g.indptr), shape=(n, n)
+        )
+        _, raw = csgraph.connected_components(mat, directed=False)
+        _, first = np.unique(raw, return_index=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        np.testing.assert_array_equal(labels, rank[raw])
+        np.testing.assert_array_equal(labels, _components_bfs(g))
+
     def test_path_matches_networkx(self):
         nx = pytest.importorskip("networkx")
         from repro.graphs.build import to_networkx

@@ -133,16 +133,26 @@ class TestServeTracing:
         assert "# TYPE repro_requests_total counter" in doc["text"]
         assert "text" not in client.metrics(text=False)
 
-    def test_stats_snapshot_does_not_mutate_provider(self, loopback):
-        server, client, _ = loopback
+    def test_app_op_is_one_traced_pool_task(self, loopback):
+        server, client, digest = loopback
         doc = client.stats()
-        # The serve layer redacts provider-internal sections...
-        assert doc["app_provider"] is not None
-        assert "memo" not in doc["app_provider"]
-        assert "pool" not in doc["app_provider"]
-        # ...without popping them out of the live provider's own stats.
-        assert "memo" in server._app_provider.stats()
-        assert client.stats()["app_provider"] == doc["app_provider"]
+        # No application provider runs server-side any more.
+        assert "app_provider" not in doc
+        submitted = doc["pool"]["submitted"]
+        spans: list[dict] = []
+        trace.enable_tracing(spans.append)
+        try:
+            client.hierarchy(digest, seed=91)
+        finally:
+            trace.disable_tracing()
+        assert client.stats()["pool"]["submitted"] == submitted + 1
+        # The worker's spans ship home, with the level kernel's spans
+        # under its pool.execute span.
+        names = {record["name"] for record in spans}
+        assert {"server.hierarchy", "pool.execute", "pipeline.level"} <= (
+            names
+        ), names
+        assert len({record["trace_id"] for record in spans}) == 1
 
 
 class TestSlowRequestLog:

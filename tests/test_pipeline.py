@@ -375,8 +375,12 @@ class TestSeedDerivation:
         assert 0 <= derive_seed(123, "x") < 2**63
 
     def test_hierarchy_reuses_stable_pieces_across_levels(self):
+        # A per-piece method: the shift methods run on the level kernel
+        # and send the provider nothing to memoize.
         provider = EngineProvider()
-        hierarchical_decomposition(GRAPH, seed=0, provider=provider)
+        hierarchical_decomposition(
+            GRAPH, seed=0, method="sequential", provider=provider
+        )
         stats = provider.stats()
         # Content-keyed sub-seeds make a piece that survives a level issue
         # the identical request again — the memo must see real reuse.
@@ -568,11 +572,37 @@ class TestLevelParallelDeterminism:
             9, np.asarray([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5]])
         )
         provider = _CountingEngine(memo_bytes=0)
-        hierarchical_decomposition(graph, seed=0, provider=provider)
-        akpw_spanning_tree(graph, beta=0.4, seed=0, provider=provider)
+        # A per-piece method: the shift methods send no request at all.
+        hierarchical_decomposition(
+            graph, seed=0, method="uniform", provider=provider
+        )
+        akpw_spanning_tree(
+            graph, beta=0.4, seed=0, method="uniform", provider=provider
+        )
         assert provider.executed, "applications stopped using the provider"
         assert all(g.num_vertices > 1 for g in provider.executed)
         assert all(g.num_edges > 0 for g in provider.executed)
+
+    @pytest.mark.parametrize("method", ["auto", "bfs", "permutation",
+                                        "quantile"])
+    def test_shift_methods_send_the_provider_nothing(self, method):
+        """The shift methods decompose a whole level in one BFS on the
+        level kernel: no per-piece request reaches the provider."""
+        from repro.graphs.build import from_edges
+
+        graph = from_edges(
+            9, np.asarray([[0, 1], [1, 2], [2, 0], [3, 4], [4, 5]])
+        )
+        provider = _CountingEngine(memo_bytes=0)
+        for g in (graph, GRAPH):
+            hierarchical_decomposition(
+                g, seed=0, method=method, provider=provider
+            )
+            akpw_spanning_tree(
+                g, beta=0.4, seed=0, method=method, provider=provider
+            )
+        assert provider.executed == []
+        assert provider.stats()["requests"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +654,21 @@ class TestServeApplicationOps:
         assert served.scale == local.scale
         assert client.hierarchy(digest, seed=11).cached
 
+    @pytest.mark.parametrize("method", ["quantile", "sequential"])
+    def test_app_ops_match_local_on_both_level_paths(self, uploaded, method):
+        """A shift method (the level kernel) and a per-piece method (the
+        worker's in-process provider) both serve the local answer."""
+        client, digest = uploaded
+        local_h = hierarchical_decomposition(GRAPH, seed=5, method=method)
+        served_h = client.hierarchy(digest, seed=5, method=method)
+        for got, want in zip(served_h.labels, local_h.labels):
+            np.testing.assert_array_equal(got, want)
+        local_t = akpw_spanning_tree(GRAPH, beta=0.4, seed=5, method=method)
+        served_t = client.lowstretch_tree(
+            digest, beta=0.4, seed=5, method=method
+        )
+        np.testing.assert_array_equal(served_t.parent, local_t.forest.parent)
+
     def test_app_ops_share_cache_namespace_safely(self, uploaded):
         """A spanner and a raw decompose of one config never collide."""
         client, digest = uploaded
@@ -659,7 +704,8 @@ class TestServeApplicationOps:
         stats = client.stats()
         assert stats["server"]["app_requests"] >= 1
         assert stats["server"]["app_executions"] >= 1
-        assert stats["app_provider"]["backend"] == "pool"
+        # An application op is one pool task; no provider runs server-side.
+        assert "app_provider" not in stats
 
     def test_hello_advertises_app_ops(self, serve_stack):
         _, client = serve_stack
