@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import GraphError, ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ops import connected_components, quotient_graph
+from repro.graphs.weighted import require_unweighted
 from repro.pipeline import DecomposeRequest, resolve_provider
 from repro.pipeline.levels import decompose_level
 from repro.rng.seeding import SeedLike, derive_seed, ensure_int_seed
@@ -134,12 +135,15 @@ def hierarchical_decomposition(
     :meth:`~repro.pipeline.DecompositionProvider.decompose_batch`
     (``max_concurrent`` bounds its in-flight window), where a piece that
     survives a level unchanged repeats its request and hits the memo.
-    The labels are the same on every path and backend.
+    The labels are the same on every path and backend.  A weighted
+    graph is refused with :class:`~repro.errors.ParameterError`: the
+    levels grow their pieces by hop count.
     """
     if not 0 < beta_max < 1:
         raise ParameterError("beta_max must be in (0, 1)")
     if radius_constant <= 0:
         raise ParameterError("radius_constant must be positive")
+    require_unweighted(graph, "hierarchical_decomposition")
     n = graph.num_vertices
     if n == 0:
         raise GraphError("cannot build a hierarchy on the empty graph")

@@ -22,6 +22,7 @@ __all__ = [
     "SubgraphResult",
     "PieceLayout",
     "piece_layout",
+    "concat_ranges",
     "split_by_labels",
     "connected_components",
     "num_components",
@@ -133,6 +134,14 @@ def piece_layout(graph: CSRGraph, labels: np.ndarray) -> PieceLayout:
         bounds=bounds,
         graph=CSRGraph(indptr, targets, validate=False),
     )
+
+
+def concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] .. starts[i] + lengths[i] − 1``, end to end,
+    as one index array."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def split_by_labels(

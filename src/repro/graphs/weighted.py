@@ -20,6 +20,7 @@ __all__ = [
     "uniform_weights",
     "weights_by_name",
     "WEIGHT_SCHEMES",
+    "require_unweighted",
 ]
 
 
@@ -197,3 +198,13 @@ def weights_by_name(
         # Shift away from zero: edge weights must be strictly positive.
         weights = rng.exponential(mean, size=m) + 1e-9
     return weighted_from_edges(graph.num_vertices, graph.edge_array(), weights)
+
+
+def require_unweighted(graph: CSRGraph, subject: str) -> None:
+    """Refuse a weighted ``graph`` for ``subject`` (a builder or op name),
+    whose pieces are grown by BFS in hop counts."""
+    if isinstance(graph, WeightedCSRGraph):
+        raise ParameterError(
+            f"{subject} requires an unweighted graph (piece BFS trees need "
+            "hop counts); use the topology without weights"
+        )

@@ -27,6 +27,7 @@ from repro.core.decomposition import Decomposition
 from repro.errors import GraphError, ParameterError
 from repro.graphs.csr import CSRGraph
 from repro.graphs.ops import connected_components, quotient_graph
+from repro.graphs.weighted import require_unweighted
 from repro.pipeline import resolve_provider
 from repro.pipeline.levels import decompose_level
 from repro.rng.seeding import SeedLike, ensure_int_seed, make_generator
@@ -76,10 +77,13 @@ def akpw_spanning_tree(
     non-trivial components to ``provider`` as one
     :meth:`~repro.pipeline.DecompositionProvider.decompose_batch`
     (``max_concurrent`` bounds its in-flight window).  The tree is the
-    same on every path and backend.
+    same on every path and backend.  A weighted graph is refused with
+    :class:`~repro.errors.ParameterError`, whether or not it is
+    connected.
     """
     if not 0 < beta < 1:
         raise ParameterError(f"beta must be in (0, 1), got {beta}")
+    require_unweighted(graph, "akpw_spanning_tree")
     n = graph.num_vertices
     if n == 0:
         raise GraphError("cannot build a tree on the empty graph")

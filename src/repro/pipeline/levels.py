@@ -26,12 +26,14 @@ from repro.bfs.kernels import resolve_kernel
 from repro.core.decomposition import Decomposition
 from repro.core.engine import graph_kind, resolve_method
 from repro.core.ldd_bfs import partition_bfs
-from repro.core.shifts import sample_shifts
+from repro.core.shifts import sample_shifts_batch
+from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
-from repro.graphs.ops import piece_layout, split_by_labels
+from repro.graphs.ops import concat_ranges, piece_layout, split_by_labels
+from repro.graphs.weighted import WeightedCSRGraph
 from repro.pipeline.providers import DecomposeRequest, resolve_provider
 from repro.rng.seeding import derive_seed
-from repro.serve.store import csr_digest, graph_digest
+from repro.serve.store import graph_digest, piece_digests
 from repro.telemetry import trace as _trace
 
 __all__ = ["decompose_level"]
@@ -58,6 +60,19 @@ def decompose_level(
     one vertex are their own cluster.  ``labels=None`` means the whole
     graph is one piece, seeded by ``graph_digest(graph)`` and decomposed
     in place (no layout, so a memmap-backed graph is never copied).
+    ``labels`` needs an unweighted graph: the piece layout carries no
+    weights.
+
+    With a shift method the level runs in three passes.  First, every
+    non-trivial piece is hashed from one vectorised local-CSR view of the
+    layout (:func:`~repro.serve.store.piece_digests`).  Second, each
+    *distinct* digest is drawn once with
+    :func:`~repro.core.shifts.sample_shifts_batch` and copied to every
+    piece that has it — equal digests mean equal seeds, and ``β`` is fixed
+    within a level, so those pieces would draw equal shifts.  Third, one
+    delayed BFS runs over the layout graph.  The first two are traced as
+    one ``pipeline.level_shifts`` span (``pieces``, ``distinct``), the BFS
+    as ``pipeline.level``.
 
     Returns a :class:`Decomposition` of ``graph`` whose pieces refine
     ``labels``, with parent-graph ``center`` and ``hops``.  ``provider``
@@ -65,8 +80,13 @@ def decompose_level(
     methods send it no request.
     """
     options = dict(options or {})
-    kind = graph_kind(graph) if labels is None else "unweighted"
-    spec = resolve_method(kind, method)
+    if labels is not None and isinstance(graph, WeightedCSRGraph):
+        raise ParameterError(
+            "decompose_level: labels need an unweighted graph (the piece "
+            "layout carries no weights); pass labels=None to decompose a "
+            "weighted graph whole"
+        )
+    spec = resolve_method(graph_kind(graph), method)
     if spec.func is not partition_bfs:
         return _per_piece(
             graph, labels, beta, root_seed, tag, spec.name, options,
@@ -79,27 +99,16 @@ def decompose_level(
     mode = bound.get("tie_break", "fractional")
     n = graph.num_vertices
     if labels is None:
-        order, bfs_graph = None, graph
-        slices = [(0, n, graph_digest(graph))]
+        order, bfs_graph, layout = None, graph, None
     else:
         layout = piece_layout(graph, labels)
-        order, bfs_graph, bounds = layout.order, layout.graph, layout.bounds
-        slices = [
-            (int(bounds[c]), int(bounds[c + 1]), _piece_digest(layout, c))
-            for c in np.flatnonzero(np.diff(bounds) > 1).tolist()
-        ]
-    # Pieces of one vertex wake at time 0 and own themselves: no arc
-    # reaches them, so their key never meets another's.
-    start_time = np.zeros(n, dtype=np.float64)
-    tie_key = np.zeros(n, dtype=np.float64)
-    for lo, hi, digest in slices:
-        shifts = sample_shifts(
-            hi - lo, beta, seed=derive_seed(root_seed, tag, digest),
-            mode=mode,
+        order, bfs_graph = layout.order, layout.graph
+    with _trace.span("pipeline.level_shifts") as span:
+        start_time, tie_key, pieces, distinct = _level_shifts(
+            graph, layout, beta, root_seed, tag, mode
         )
-        start_time[lo:hi] = shifts.start_time
-        tie_key[lo:hi] = shifts.tie_key
-    with _trace.span("pipeline.level", pieces=len(slices), vertices=n):
+        span.annotate(pieces=pieces, distinct=distinct)
+    with _trace.span("pipeline.level", pieces=pieces, vertices=n):
         result = delayed_multisource_bfs(
             bfs_graph, start_time, tie_key=tie_key, kernel=kernel
         )
@@ -114,13 +123,49 @@ def decompose_level(
     return Decomposition(graph=graph, center=center, hops=hops)
 
 
-def _piece_digest(layout, label: int) -> str:
-    """``graph_digest`` of piece ``label``'s induced subgraph, hashed from
-    its layout slices without building the graph."""
-    indptr, indices = layout.piece_arrays(label)
-    return csr_digest(
-        CSRGraph.__name__, {"indptr": indptr, "indices": indices}
+def _level_shifts(graph, layout, beta, root_seed, tag, mode):
+    """Start times and tie keys of a whole level, in layout order.
+
+    Returns ``(start_time, tie_key, pieces, distinct)``: the number of
+    non-trivial pieces and of distinct digests among them.  Pieces of one
+    vertex wake at time 0 and own themselves: no arc reaches them, so
+    their key never meets another's.
+    """
+    n = graph.num_vertices
+    if layout is None:
+        start_time, tie_key = sample_shifts_batch(
+            [n], [derive_seed(root_seed, tag, graph_digest(graph))], beta,
+            mode=mode,
+        )
+        return start_time, tie_key, 1, 1
+    sizes = np.diff(layout.bounds)
+    nontrivial = np.flatnonzero(sizes > 1)
+    digests = piece_digests(layout, nontrivial)
+    # which[i]: rank of piece i's digest among the distinct ones, in
+    # order of first appearance; first[d]: the first piece with digest d.
+    rank: dict[str, int] = {}
+    which = np.fromiter(
+        (rank.setdefault(d, len(rank)) for d in digests),
+        dtype=np.int64, count=len(digests),
     )
+    _, first = np.unique(which, return_index=True)
+    drawn_sizes = sizes[nontrivial[first]]
+    drawn_time, drawn_key = sample_shifts_batch(
+        drawn_sizes,
+        [derive_seed(root_seed, tag, d) for d in rank],
+        beta,
+        mode=mode,
+    )
+    # Copy each distinct draw to every piece with its digest.
+    piece_sizes = sizes[nontrivial]
+    drawn_start = np.cumsum(drawn_sizes) - drawn_sizes
+    src = concat_ranges(drawn_start[which], piece_sizes)
+    dst = concat_ranges(layout.bounds[nontrivial], piece_sizes)
+    start_time = np.zeros(n, dtype=np.float64)
+    tie_key = np.zeros(n, dtype=np.float64)
+    start_time[dst] = drawn_time[src]
+    tie_key[dst] = drawn_key[src]
+    return start_time, tie_key, len(digests), len(rank)
 
 
 def _per_piece(

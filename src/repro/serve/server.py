@@ -67,6 +67,7 @@ from repro.graphs.mmapcsr import (
     MmapLayout,
     validate_csr_chunked,
 )
+from repro.graphs.weighted import require_unweighted
 from repro.core.registry import describe_methods
 from repro.runtime.pool import DecompositionPool
 from repro.serve import apps
@@ -1097,17 +1098,6 @@ class DecompositionServer:
             )
         return float(value)
 
-    @staticmethod
-    def _require_unweighted(graph: CSRGraph, op: str) -> None:
-        from repro.graphs.weighted import WeightedCSRGraph
-
-        if isinstance(graph, WeightedCSRGraph):
-            raise ParameterError(
-                f"the {op} op requires an unweighted graph (piece BFS "
-                "trees need hop counts); upload the topology without "
-                "weights"
-            )
-
     async def _memoized(self, key: tuple, compute):
         """Serve ``key`` from cache, a coalesced in-flight peer, or compute.
 
@@ -1282,7 +1272,7 @@ class DecompositionServer:
         digest, graph, spec, bound, seed, options = self._parse_graph_request(
             message, "spanner"
         )
-        self._require_unweighted(graph, "spanner")
+        require_unweighted(graph, "the spanner op")
         beta = self._parse_number(message, "beta", "spanner")
         key = canonical_cache_key(
             digest, beta, spec.name, seed, bound, op="spanner"
@@ -1302,7 +1292,7 @@ class DecompositionServer:
         digest, graph, spec, bound, seed, options = self._parse_graph_request(
             message, "lowstretch_tree"
         )
-        self._require_unweighted(graph, "lowstretch_tree")
+        require_unweighted(graph, "the lowstretch_tree op")
         beta = self._parse_number(message, "beta", "lowstretch_tree", 0.5)
         max_levels = message.get("max_levels", 64)
         if isinstance(max_levels, bool) or not isinstance(max_levels, int):
@@ -1330,7 +1320,7 @@ class DecompositionServer:
         digest, graph, spec, bound, seed, options = self._parse_graph_request(
             message, "hierarchy"
         )
-        self._require_unweighted(graph, "hierarchy")
+        require_unweighted(graph, "the hierarchy op")
         beta_max = self._parse_number(message, "beta_max", "hierarchy", 0.9)
         radius_constant = self._parse_number(
             message, "radius_constant", "hierarchy", 1.0

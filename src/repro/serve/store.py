@@ -20,8 +20,9 @@ import numpy as np
 
 from repro.errors import ParameterError
 from repro.graphs.csr import CSRGraph
+from repro.graphs.ops import PieceLayout, concat_ranges
 
-__all__ = ["csr_digest", "graph_digest", "GraphStore"]
+__all__ = ["csr_digest", "graph_digest", "piece_digests", "GraphStore"]
 
 logger = logging.getLogger(__name__)
 
@@ -53,20 +54,73 @@ def csr_digest(class_name: str, arrays: Mapping[str, np.ndarray]) -> str:
     """The digest :func:`graph_digest` gives a ``class_name`` graph whose
     ``csr_arrays()`` are ``arrays`` — without building that graph.
 
-    The one owner of the digest byte format: the class name, then per
-    array in name order its name, little-endian dtype string, shape and
-    raw bytes.
+    The byte format: the class name, then per array in name order its
+    :func:`_array_header` and raw bytes.
     """
     sha = hashlib.sha256()
     sha.update(class_name.encode("utf-8"))
     for name, arr in sorted(arrays.items()):
-        arr = np.ascontiguousarray(arr)
-        canonical = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        sha.update(name.encode("utf-8"))
-        sha.update(canonical.dtype.str.encode("ascii"))
-        sha.update(repr(tuple(arr.shape)).encode("ascii"))
+        canonical = _canonical(arr)
+        sha.update(_array_header(name, canonical))
         _hash_array_bytes(sha, canonical)
     return sha.hexdigest()
+
+
+def piece_digests(layout: PieceLayout, pieces: np.ndarray) -> list[str]:
+    """:func:`graph_digest` of each listed piece's induced subgraph.
+
+    ``pieces`` are labels of ``layout``.  Every piece's local ``indptr``
+    and ``indices`` (its slices of the layout graph minus its first arc
+    and its first id) are built in one vectorised pass, then each piece's
+    slices are hashed in :func:`csr_digest`'s byte format — equal to
+    hashing ``induced_subgraph(parent, members).graph``, without building
+    a graph per piece.
+    """
+    pieces = np.asarray(pieces, dtype=np.int64)
+    indptr, indices = layout.graph.indptr, layout.graph.indices
+    lo, hi = layout.bounds[pieces], layout.bounds[pieces + 1]
+    arc_lo = indptr[lo]
+    # Piece p's local indptr has hi − lo + 1 rows; its arcs are the
+    # layout graph's arcs arc_lo..indptr[hi].
+    rows = hi - lo + 1
+    arcs = indptr[hi] - arc_lo
+    local_indptr = _canonical(
+        indptr[concat_ranges(lo, rows)] - np.repeat(arc_lo, rows)
+    )
+    local_indices = _canonical(
+        indices[concat_ranges(arc_lo, arcs)] - np.repeat(lo, arcs)
+    )
+    by_name = sorted([
+        ("indices", local_indices, [0, *np.cumsum(arcs).tolist()]),
+        ("indptr", local_indptr, [0, *np.cumsum(rows).tolist()]),
+    ])
+    class_name = CSRGraph.__name__.encode("utf-8")
+    digests = []
+    for i in range(pieces.size):
+        sha = hashlib.sha256(class_name)
+        for name, flat, cuts in by_name:
+            part = flat[cuts[i] : cuts[i + 1]]
+            sha.update(_array_header(name, part))
+            sha.update(part)
+        digests.append(sha.hexdigest())
+    return digests
+
+
+def _canonical(arr: np.ndarray) -> np.ndarray:
+    """``arr`` contiguous and little-endian, as the digest hashes it."""
+    arr = np.ascontiguousarray(arr)
+    return arr.astype(arr.dtype.newbyteorder("<"), copy=False)
+
+
+def _array_header(name: str, arr: np.ndarray) -> bytes:
+    """The bytes the digest writes before an array's raw bytes: its name,
+    little-endian dtype string and shape.  The one owner of the header
+    format, for :func:`csr_digest` and :func:`piece_digests` alike."""
+    return (
+        name.encode("utf-8")
+        + arr.dtype.str.encode("ascii")
+        + repr(tuple(arr.shape)).encode("ascii")
+    )
 
 
 #: Digest streaming granularity: big enough to amortise call overhead,

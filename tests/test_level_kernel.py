@@ -6,7 +6,10 @@ per-piece builders it replaced live on in ``tests/level_oracle.py``; the
 properties here build each hierarchy and AKPW tree twice — once as the
 library does, once with the oracle patched in — and require identical
 label stacks and parent arrays, for every shift method and tie-break, on
-the numpy kernel and (when built) the native one.
+the numpy kernel and (when built) the native one.  The batched shift
+draw is checked against per-piece ``sample_shifts``, the one-pass piece
+digests against ``graph_digest`` of each induced subgraph, and the
+one-draw-per-digest dedup on levels of identical pieces.
 """
 
 from __future__ import annotations
@@ -21,18 +24,24 @@ from hypothesis import strategies as st
 from repro.bfs.kernels import native_available
 from repro.core.ldd_bfs import partition_bfs
 from repro.core.registry import get_method, method_names
+from repro.core.shifts import sample_shifts, sample_shifts_batch
 from repro.embeddings import hierarchy as hierarchy_module
 from repro.embeddings.hierarchy import Hierarchy, hierarchical_decomposition
-from repro.errors import GraphError
+from repro.errors import GraphError, ParameterError
 from repro.graphs.build import from_edges
 from repro.graphs.csr import CSRGraph
 from repro.graphs.generators import erdos_renyi, grid_2d
-from repro.graphs.ops import induced_subgraph, piece_layout
+from repro.graphs.ops import (
+    connected_components,
+    induced_subgraph,
+    piece_layout,
+)
+from repro.graphs.weighted import uniform_weights
 from repro.lowstretch import akpw as akpw_module
 from repro.lowstretch.akpw import akpw_spanning_tree
 from repro.pipeline import EngineProvider
 from repro.pipeline.levels import decompose_level
-from repro.serve.store import csr_digest, graph_digest
+from repro.serve.store import csr_digest, graph_digest, piece_digests
 
 from tests.level_oracle import decompose_level_oracle, refine_oracle
 
@@ -187,6 +196,143 @@ def test_layout_pieces_hash_like_their_induced_subgraphs(graph, data):
         assert csr_digest(
             CSRGraph.__name__, {"indptr": indptr, "indices": indices}
         ) == graph_digest(sub)
+    # All pieces hashed in one pass, in any order and any subset.
+    every = np.arange(layout.num_pieces)
+    pieces = data.draw(st.sampled_from([every, every[::-1], every[1::2]]))
+    assert piece_digests(layout, pieces) == [
+        graph_digest(
+            induced_subgraph(graph, np.flatnonzero(labels == label)).graph
+        )
+        for label in pieces.tolist()
+    ]
+
+
+# ---------------------------------------------------------------------------
+# the batched shift draw and its one-draw-per-digest dedup
+# ---------------------------------------------------------------------------
+TIE_MODES = ["fractional", "permutation", "quantile"]
+
+
+@pytest.mark.parametrize("mode", TIE_MODES)
+@given(
+    sizes=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    seeds=st.data(),
+    beta=st.floats(0.01, 1.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_batched_draw_matches_per_piece_sample_shifts(
+    mode, sizes, seeds, beta
+):
+    seeds = [seeds.draw(st.integers(0, 2**63 - 1)) for _ in sizes]
+    start_time, tie_key = sample_shifts_batch(sizes, seeds, beta, mode=mode)
+    at = 0
+    for size, seed in zip(sizes, seeds):
+        one = sample_shifts(size, beta, seed=seed, mode=mode)
+        np.testing.assert_array_equal(start_time[at:at + size], one.start_time)
+        np.testing.assert_array_equal(tie_key[at:at + size], one.tie_key)
+        at += size
+    assert at == start_time.shape[0] == tie_key.shape[0]
+
+
+@pytest.mark.parametrize("mode", TIE_MODES)
+def test_batched_draw_on_pieces_of_two_and_no_pieces(mode):
+    sizes, seeds = [2] * 7, list(range(7))
+    start_time, tie_key = sample_shifts_batch(sizes, seeds, 0.4, mode=mode)
+    for i, seed in enumerate(seeds):
+        one = sample_shifts(2, 0.4, seed=seed, mode=mode)
+        np.testing.assert_array_equal(start_time[2 * i:2 * i + 2],
+                                      one.start_time)
+        np.testing.assert_array_equal(tie_key[2 * i:2 * i + 2], one.tie_key)
+    empty = sample_shifts_batch([], [], 0.4, mode=mode)
+    assert [arr.shape for arr in empty] == [(0,), (0,)]
+    with pytest.raises(ParameterError):
+        sample_shifts_batch([3], [1], 0.4, mode="bogus")
+
+
+def _copies(piece: CSRGraph, k: int, *, extra_isolated: int = 0) -> CSRGraph:
+    """``k`` disjoint copies of ``piece`` plus some isolated vertices."""
+    size = piece.num_vertices
+    edges = piece.edge_array()
+    blocks = [edges + i * size for i in range(k)]
+    return from_edges(
+        k * size + extra_isolated, np.concatenate(blocks, axis=0)
+    )
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("case", SHIFT_CASES)
+@pytest.mark.parametrize("piece", [grid_2d(1, 2), grid_2d(3, 3),
+                                   grid_2d(2, 5)])
+def test_identical_pieces_match_the_oracle(piece, case, kernel):
+    """Every piece of every level shares a digest with its copies, so
+    each distinct draw is copied many times; the labels and trees must
+    still be the per-piece oracle's."""
+    method, options = case
+    graph = _copies(piece, 9, extra_isolated=2)
+    got = hierarchical_decomposition(
+        graph, seed=5, method=method, kernel=kernel, **options
+    )
+    with mock.patch.object(hierarchy_module, "_refine", refine_oracle):
+        want = hierarchical_decomposition(
+            graph, seed=5, method=method, kernel=kernel,
+            provider=EngineProvider(memo_bytes=0), **options,
+        )
+    for mine, theirs in zip(got.labels, want.labels):
+        np.testing.assert_array_equal(mine, theirs)
+    tree = akpw_spanning_tree(
+        graph, beta=0.6, seed=5, method=method, kernel=kernel, **options
+    )
+    with mock.patch.object(
+        akpw_module, "_decompose_level", decompose_level_oracle
+    ):
+        oracle_tree = akpw_spanning_tree(
+            graph, beta=0.6, seed=5, method=method, kernel=kernel,
+            provider=EngineProvider(memo_bytes=0), **options,
+        )
+    np.testing.assert_array_equal(
+        tree.forest.parent, oracle_tree.forest.parent
+    )
+
+
+def test_a_level_of_identical_pieces_draws_once():
+    graph = _copies(grid_2d(3, 4), 12)
+    labels = connected_components(graph)
+    with mock.patch.object(
+        np.random, "default_rng", wraps=np.random.default_rng
+    ) as made:
+        dec = decompose_level(
+            graph, labels, 0.5, root_seed=3, tag="akpw"
+        )
+    assert made.call_count == 1
+    # Each copy got the same draw, so the same local clustering.
+    local = (dec.center % 12).reshape(12, 12)
+    assert (local == local[0]).all()
+
+
+# ---------------------------------------------------------------------------
+# weighted graphs are refused, not silently unweighted
+# ---------------------------------------------------------------------------
+def test_labelled_level_refuses_a_weighted_graph():
+    weighted = uniform_weights(grid_2d(12, 12), 2.0)
+    with pytest.raises(ParameterError, match="unweighted"):
+        decompose_level(
+            weighted, np.zeros(144, dtype=np.int64), 0.3,
+            root_seed=1, tag="hierarchy",
+        )
+    # Whole, the weighted graph still runs (on the weighted methods).
+    decompose_level(weighted, None, 0.3, root_seed=1, tag="akpw")
+
+
+def test_hierarchy_refuses_a_weighted_graph():
+    with pytest.raises(ParameterError, match="requires an unweighted graph"):
+        hierarchical_decomposition(uniform_weights(grid_2d(12, 12)), seed=1)
+
+
+@pytest.mark.parametrize("graph", [grid_2d(12, 12), _copies(grid_2d(3, 3), 4)])
+def test_akpw_refuses_a_weighted_graph(graph):
+    """Connected or not: the refusal does not depend on the level path."""
+    with pytest.raises(ParameterError, match="requires an unweighted graph"):
+        akpw_spanning_tree(uniform_weights(graph), seed=1)
 
 
 # ---------------------------------------------------------------------------

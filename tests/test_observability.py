@@ -149,10 +149,21 @@ class TestServeTracing:
         # The worker's spans ship home, with the level kernel's spans
         # under its pool.execute span.
         names = {record["name"] for record in spans}
-        assert {"server.hierarchy", "pool.execute", "pipeline.level"} <= (
-            names
-        ), names
+        assert {
+            "server.hierarchy", "pool.execute", "pipeline.level",
+            "pipeline.level_shifts",
+        } <= names, names
         assert len({record["trace_id"] for record in spans}) == 1
+        # Each level's digest-and-draw phase is its own span, counting
+        # the pieces it drew for and the distinct draws it made.
+        draws = [r for r in spans if r["name"] == "pipeline.level_shifts"]
+        levels = [r for r in spans if r["name"] == "pipeline.level"]
+        assert len(draws) == len(levels)
+        for draw, level in zip(draws, levels):
+            pieces = draw["attrs"]["pieces"]
+            distinct = draw["attrs"]["distinct"]
+            assert min(1, pieces) <= distinct <= pieces
+            assert pieces == level["attrs"]["pieces"]
 
 
 class TestSlowRequestLog:
