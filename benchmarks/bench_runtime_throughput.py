@@ -235,9 +235,9 @@ def _nk_workload():
     """(graph, beta, repeats) for the kernel-latency comparison.
 
     Full mode uses a dense ~1M-edge Erdos-Renyi graph: big rounds are where
-    the numpy path pays its per-arc multi-pass cost (repeat/cumsum gathers,
-    ``ufunc.at`` priority writes) and where the single fused C sweep shows
-    its constant-factor headroom.  Smoke mode only path-exercises.
+    the numpy path pays its per-arc multi-pass cost (repeat gathers, one
+    sort of packed bids) and where the single fused C sweep shows its
+    constant-factor headroom.  Smoke mode only path-exercises.
     """
     if _smoke():
         return erdos_renyi(400, 0.05, seed=7), 0.3, 2

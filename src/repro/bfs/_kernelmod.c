@@ -2,25 +2,21 @@
  *
  * This module implements the two hot phases of
  * ``repro.bfs.delayed.delayed_multisource_bfs`` — frontier arc gathering
- * and the CRCW claim-resolution priority write — as single fused passes
- * over raw C buffers, replacing the multi-pass numpy pipeline (repeat/
- * cumsum gathers, ``ufunc.at`` priority writes, lexsorts) with one
- * cache-friendly loop per phase.
+ * and the CRCW claim-resolution priority write — as one fused pass each
+ * over raw C buffers, where the numpy engine sorts packed bid keys.
  *
  * Bit-exactness contract: a round's winner set is, per vertex, the
- * minimum ``(tie_key[center], center)`` pair over all bids, and that
- * minimum is unique — so any implementation applying the same comparison
- * produces identical assignments.  The comparisons here are the same
- * IEEE-754 double comparisons numpy's ``lexsort``/``minimum.at`` perform
- * (NaN keys are rejected upstream), and winners are emitted in ascending
- * vertex order exactly like the numpy paths, so every intermediate
- * frontier — not just the final assignment — matches bit for bit.  The
- * differential conformance suite (tests/test_conformance.py) pins this.
+ * unique minimum ``(tie_key[center], center)`` pair over all bids.  The
+ * numpy engine orders the same pairs by a per-BFS priority rank; the
+ * comparisons here are the same IEEE-754 double comparisons (``-0.0 ==
+ * 0.0``; NaN keys are rejected upstream), and winners are emitted in
+ * ascending vertex order like the numpy engine's, so every intermediate
+ * frontier matches bit for bit.  tests/test_conformance.py pins this.
  *
  * The module deliberately uses only the CPython buffer protocol — no
  * numpy C API — so it compiles against any numpy version the package
  * supports.  Arrays must be C-contiguous int64 (``l``/``q``) or float64
- * (``d``); the Python wrapper in ``repro.bfs.kernels`` guarantees that.
+ * (``d``); the callers in ``repro.bfs.delayed`` guarantee that.
  *
  * All hot loops run with the GIL released.
  */

@@ -26,11 +26,18 @@ path assignment computed by :mod:`repro.bfs.dijkstra` — a property the test
 suite checks exhaustively.
 
 Two interchangeable hot-path engines implement the per-round gather/resolve
-phases: the pure-numpy reference and the compiled :mod:`repro.bfs._kernel`
-extension, selected via ``kernel=`` (see :mod:`repro.bfs.kernels`).  They
-are bit-identical — same winners in the same order every round — so the
-switch is purely a performance knob; the differential conformance suite
-pins the equivalence.
+phases: numpy and the compiled :mod:`repro.bfs._kernel` extension, selected
+via ``kernel=`` (see :mod:`repro.bfs.kernels`).  They are bit-identical —
+same winners in the same order every round — so the switch is purely a
+performance knob; the differential conformance suite pins the equivalence.
+
+The numpy engine turns step 3 into one integer sort per round.  Since only
+the *order* of the tie keys matters (Section 5), each vertex gets one
+priority once per BFS — its rank in ascending ``(tie_key, id)`` order — and
+a bid of center ``c`` for vertex ``v`` is the packed key
+``v · n + prio[c]``.  Sorting a round's bids puts each vertex's winner first
+in its run, and ``by_prio`` (the inverse of ``prio``) maps the winning
+priority back to a center id.
 """
 
 from __future__ import annotations
@@ -42,13 +49,12 @@ import numpy as np
 
 import repro.telemetry as telemetry
 from repro.errors import ParameterError
+from repro.graphs.build import check_packable
 from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
-from repro.bfs.frontier import gather_frontier_arcs
+from repro.bfs.frontier import frontier_arc_ids
 from repro.bfs.kernels import KernelScratch, native_module, resolve_kernel
 
 __all__ = ["DelayedBFSResult", "delayed_multisource_bfs", "resolve_claims"]
-
-_NO_CENTER = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,96 +121,107 @@ def resolve_claims(
 
     ``kernel`` picks the engine (``None`` reads the ambient
     :func:`repro.bfs.kernels.use_kernel` context, default ``"auto"``).  The
-    ``"native"`` engine is a single fused C pass.  The ``"python"`` engine
-    has two equivalent implementations, chosen by candidate volume:
+    ``"native"`` engine is a single fused C pass, with an optional reusable
+    :class:`KernelScratch` (pristine on entry and on return).  The
+    ``"python"`` engine applies the BFS's packed rule to the ``k`` distinct
+    candidate centers: rank them by ``(tie_key, id)``, bid
+    ``vertex · k + rank``, and sort once.
 
-    - *semisort*: ``lexsort`` by ``(vertex, key, center)`` and keep the
-      first entry per vertex — O(C log C), no per-vertex scratch, best for
-      the many small rounds of low-β runs;
-    - *scatter*: two ``minimum.at`` priority-write passes (first the key,
-      then the center among exact key ties) — O(C + n), the literal CRCW
-      formulation, and several times faster once a round's candidate set is
-      a sizable fraction of the graph (dense graphs at high β resolve most
-      vertices in one round).
-
-    All three apply the identical lexicographic rule, so the winner set is
-    bit-identical regardless of which path ran — for *finite* keys, which
-    :func:`delayed_multisource_bfs` validates (NaN would poison the
-    priority writes).  ``num_vertices`` (the graph's vertex count) enables
-    the python scatter path and sizes native scratch; without it the
-    semisort always runs on the python engine.
-
-    ``scratch`` is an optional reusable :class:`KernelScratch` (pristine on
-    entry, restored pristine on return) so repeated calls — one per BFS
-    round — stop allocating O(n) arrays each time.
+    Both engines raise :class:`~repro.errors.ParameterError` on unequal or
+    non-integer candidate arrays, a vertex outside ``[0, num_vertices)``
+    (capped by the scratch size; unbounded when both are absent), a center
+    outside ``tie_key``, or a non-finite key.
     """
-    if resolve_kernel(kernel) == "native":
-        return _resolve_claims_native(
-            cand_vertex, cand_center, tie_key, num_vertices, scratch
-        )
-    if (
-        num_vertices is not None
-        and cand_vertex.size >= num_vertices
-        and cand_vertex.size > 1024
+    cand_vertex = np.asarray(cand_vertex)
+    cand_center = np.asarray(cand_center)
+    tie_key = np.ascontiguousarray(tie_key, dtype=np.float64)
+    if not (
+        cand_vertex.ndim == 1
+        and cand_vertex.shape == cand_center.shape
+        and np.issubdtype(cand_vertex.dtype, np.integer)
+        and np.issubdtype(cand_center.dtype, np.integer)
     ):
+        raise ParameterError(
+            "cand_vertex and cand_center must be integer arrays of one length"
+        )
+    if scratch is not None and (
+        num_vertices is None or num_vertices > scratch.num_vertices
+    ):
+        num_vertices = scratch.num_vertices
+    if cand_vertex.size:
+        if cand_vertex.min() < 0 or (
+            num_vertices is not None and cand_vertex.max() >= num_vertices
+        ):
+            raise ParameterError("candidate vertex id out of range")
+        if cand_center.min() < 0 or cand_center.max() >= tie_key.shape[0]:
+            raise ParameterError("candidate center id out of range")
+    if not np.isfinite(tie_key).all():
+        raise ParameterError("tie keys must be finite")
+    if resolve_kernel(kernel) == "native":
         if scratch is None:
-            best_key = np.full(num_vertices, np.inf)
-            best_center = np.full(num_vertices, _NO_CENTER, dtype=np.int64)
-            claimed = np.zeros(num_vertices, dtype=bool)
-        else:
-            best_key = scratch.best_key
-            best_center = scratch.best_center
-            claimed = scratch.claimed
-        cand_key = tie_key[cand_center]
-        np.minimum.at(best_key, cand_vertex, cand_key)
-        tied = cand_key == best_key[cand_vertex]
-        np.minimum.at(best_center, cand_vertex[tied], cand_center[tied])
-        claimed[cand_vertex] = True
-        winners = np.flatnonzero(claimed).astype(cand_vertex.dtype)
-        owners = best_center[winners]
-        if scratch is not None:
-            # Restore the pristine invariant touching only written entries.
-            best_key[cand_vertex] = np.inf
-            best_center[cand_vertex] = _NO_CENTER
-            claimed[winners] = False
-        return winners, owners
-    order = np.lexsort((cand_center, tie_key[cand_center], cand_vertex))
-    v_sorted = cand_vertex[order]
-    c_sorted = cand_center[order]
-    first = np.ones(v_sorted.shape[0], dtype=bool)
-    first[1:] = v_sorted[1:] != v_sorted[:-1]
-    return v_sorted[first], c_sorted[first]
-
-
-def _resolve_claims_native(
-    cand_vertex: np.ndarray,
-    cand_center: np.ndarray,
-    tie_key: np.ndarray,
-    num_vertices: int | None,
-    scratch: KernelScratch | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    native = native_module()
-    cand_v = np.ascontiguousarray(cand_vertex, dtype=np.int64)
-    cand_c = np.ascontiguousarray(cand_center, dtype=np.int64)
-    keys = np.ascontiguousarray(tie_key, dtype=np.float64)
-    if scratch is None:
-        if num_vertices is None:
-            num_vertices = int(cand_v.max()) + 1 if cand_v.size else 0
-        scratch = KernelScratch(num_vertices)
-    count = native.resolve_claims(
-        cand_v,
-        cand_c,
-        keys,
-        scratch.best_key,
-        scratch.best_center,
-        scratch.touched,
-        scratch.winners,
-        scratch.owners,
+            if num_vertices is None:
+                num_vertices = int(cand_vertex.max(initial=-1)) + 1
+            scratch = KernelScratch(num_vertices)
+        count = native_module().resolve_claims(
+            np.ascontiguousarray(cand_vertex, dtype=np.int64),
+            np.ascontiguousarray(cand_center, dtype=np.int64),
+            tie_key,
+            scratch.best_key,
+            scratch.best_center,
+            scratch.touched,
+            scratch.winners,
+            scratch.owners,
+        )
+        # astype copies, detaching the results from the reusable scratch.
+        return (
+            scratch.winners[:count].astype(cand_vertex.dtype),
+            scratch.owners[:count].astype(cand_center.dtype),
+        )
+    centers, slot = np.unique(cand_center, return_inverse=True)
+    k = int(centers.size)
+    check_packable(max(int(cand_vertex.max(initial=-1)) + 1, k))
+    by_rank, rank = _priorities(tie_key[centers])
+    winners, win_rank = _first_per_vertex(
+        cand_vertex.astype(np.int64) * k + rank[slot], k
     )
-    # astype copies, detaching the results from the reusable scratch.
-    winners = scratch.winners[:count].astype(cand_vertex.dtype)
-    owners = scratch.owners[:count].astype(cand_center.dtype)
-    return winners, owners
+    return (
+        winners.astype(cand_vertex.dtype),
+        centers[by_rank[win_rank]].astype(cand_center.dtype),
+    )
+
+
+def _first_per_vertex(
+    bids: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sort packed ``vertex · k + rank`` bids in place and keep each
+    vertex's smallest: (ascending vertices, their winning ranks)."""
+    bids.sort()
+    vertex = bids // k
+    first = np.empty(bids.shape[0], dtype=bool)
+    first[:1] = True
+    np.not_equal(vertex[1:], vertex[:-1], out=first[1:])
+    winners = vertex[first]
+    return winners, bids[first] - winners * k
+
+
+def _priorities(tie_key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(by_prio, prio)``: the vertices in ascending ``(tie_key, id)``
+    order, and each vertex's position in it.
+
+    An unstable sort by key is exact unless two keys are equal (``-0.0``
+    and ``0.0``, shared ranks, copied draws); then the ids are ordered
+    within ties by one sort of packed ``dense_rank · n + id`` keys.
+    """
+    n = tie_key.shape[0]
+    by_prio = np.argsort(tie_key)
+    ordered = tie_key[by_prio]
+    new_key = ordered[1:] != ordered[:-1]
+    if not new_key.all():
+        dense_rank = np.concatenate(([0], np.cumsum(new_key)))
+        by_prio = np.sort(dense_rank * n + by_prio) % n
+    prio = np.empty(n, dtype=np.int64)
+    prio[by_prio] = np.arange(n)
+    return by_prio, prio
 
 
 def delayed_multisource_bfs(
@@ -286,21 +303,26 @@ def delayed_multisource_bfs(
         )
 
     # Wake schedule: eligible vertices sorted by waking round, consumed by a
-    # pointer as rounds advance.
+    # pointer as rounds advance.  Order within a round cannot change the
+    # winners, so the sort need not be stable.
     eligible = (
         np.arange(n, dtype=VERTEX_DTYPE)
         if center_mask is None
         else np.flatnonzero(center_mask).astype(VERTEX_DTYPE)
     )
-    wake_order = eligible[
-        np.argsort(floor_start[eligible], kind="stable")
-    ]
+    wake_order = eligible[np.argsort(floor_start[eligible])]
     wake_rounds_sorted = floor_start[wake_order]
-    n_wake = int(wake_order.shape[0])
     ptr = 0
 
-    native = native_module() if mode == "native" else None
-    scratch = KernelScratch(n)
+    if mode == "native":
+        native = native_module()
+        scratch = KernelScratch(n)
+    else:
+        native = None
+        check_packable(n)
+        by_prio, prio = _priorities(tie_key)
+        unowned = np.ones(n, dtype=bool)
+        frontier_prio = np.zeros(0, dtype=np.int64)
     frontier = np.zeros(0, dtype=VERTEX_DTYPE)
     frontier_sizes: list[int] = []
     work = 0
@@ -359,42 +381,31 @@ def delayed_multisource_bfs(
             else:
                 claimed_count = 0
         else:
-            waking = waking[center[waking] == -1]
+            waking = waking[unowned[waking]]
             work += int(waking.size)
+            bids = waking * n + prio[waking]
 
             # ---- gather propagation bids from the previous winners ----------
             if frontier.size:
-                arc_src, arc_dst = gather_frontier_arcs(graph, frontier)
-                work += int(arc_src.size)
-                open_mask = center[arc_dst] == -1
-                prop_v = arc_dst[open_mask]
-                prop_c = center[arc_src[open_mask]]
-            else:
-                prop_v = np.zeros(0, dtype=VERTEX_DTYPE)
-                prop_c = np.zeros(0, dtype=np.int64)
-
-            cand_v = np.concatenate([waking, prop_v])
-            cand_c = np.concatenate([waking.astype(np.int64), prop_c])
+                # Each arc bids with its source's winning priority.
+                arcs, counts = frontier_arc_ids(graph, frontier)
+                work += int(arcs.size)
+                dst = graph.indices[arcs]
+                prop = dst * n
+                prop += np.repeat(frontier_prio, counts)
+                prop = prop[unowned[dst]]
+                bids = np.concatenate([bids, prop]) if bids.size else prop
             if timed:
                 phase_t1 = time.perf_counter()
                 gather_s += phase_t1 - phase_t0
 
-            claimed_count = 0
-            if cand_v.size:
-                winners, owners = resolve_claims(
-                    cand_v,
-                    cand_c,
-                    tie_key,
-                    num_vertices=n,
-                    kernel="python",
-                    scratch=scratch,
-                )
-                if timed:
-                    resolve_s += time.perf_counter() - phase_t1
-                center[winners] = owners
-                round_claimed[winners] = t
-                frontier = winners.astype(VERTEX_DTYPE)
-                claimed_count = int(winners.size)
+            frontier, frontier_prio = _first_per_vertex(bids, n)
+            center[frontier] = by_prio[frontier_prio]
+            round_claimed[frontier] = t
+            unowned[frontier] = False
+            claimed_count = int(frontier.size)
+            if timed:
+                resolve_s += time.perf_counter() - phase_t1
 
         if claimed_count:
             frontier_sizes.append(int(claimed_count))
@@ -412,12 +423,8 @@ def delayed_multisource_bfs(
                 break
             wake_order = rest
             wake_rounds_sorted = floor_start[rest]
-            n_wake = int(rest.size)
             ptr = 0
             t = int(wake_rounds_sorted[0])
-
-        if frontier.size == 0 and ptr >= n_wake:
-            break
 
     owned = center != -1
     hops = np.full(n, -1, dtype=np.int64)

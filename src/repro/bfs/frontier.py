@@ -22,31 +22,29 @@ from repro.graphs.csr import VERTEX_DTYPE, CSRGraph
 __all__ = ["FrontierBFSResult", "gather_frontier_arcs", "frontier_bfs"]
 
 
+def frontier_arc_ids(
+    graph: CSRGraph, frontier: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(CSR arc ids, degrees) of the frontier's rows, in frontier order.
+
+    The repeat/offset trick, with no Python-level loop: the ``j``-th arc
+    overall, in slice ``i``, sits at ``starts[i] + j − (degrees before i)``.
+    """
+    starts = graph.indptr[frontier]
+    counts = graph.indptr[frontier + 1] - starts
+    arc_ids = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    arc_ids += np.arange(arc_ids.size, dtype=arc_ids.dtype)
+    return arc_ids, counts
+
+
 def gather_frontier_arcs(
     graph: CSRGraph, frontier: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Expand a frontier into (arc sources, arc targets), fully vectorised.
-
-    For each vertex ``u`` in ``frontier`` (in order), emits one entry per arc
-    ``u→v``.  The concatenated adjacency slices are materialised with the
-    repeat/offset trick — no Python-level loop over frontier vertices:
-
-    - ``counts[i]`` = degree of ``frontier[i]``
-    - positions within each slice are ``arange(total) − repeat(exclusive
-      prefix sums of counts)``, added to each slice's CSR start offset.
-    """
-    indptr, indices = graph.indptr, graph.indices
+    """Expand a frontier into (arc sources, arc targets), fully vectorised:
+    one entry per arc ``u→v`` of each ``u`` in ``frontier``, in order."""
     frontier = np.asarray(frontier, dtype=VERTEX_DTYPE)
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=VERTEX_DTYPE)
-        return empty, empty
-    prefix = np.cumsum(counts) - counts  # exclusive prefix sums
-    within = np.arange(total, dtype=VERTEX_DTYPE) - np.repeat(prefix, counts)
-    arc_ids = np.repeat(starts, counts) + within
-    return np.repeat(frontier, counts), indices[arc_ids]
+    arc_ids, counts = frontier_arc_ids(graph, frontier)
+    return np.repeat(frontier, counts), graph.indices[arc_ids]
 
 
 @dataclass(frozen=True, eq=False)

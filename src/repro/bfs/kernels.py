@@ -116,22 +116,21 @@ def use_kernel(kernel: str | None) -> Iterator[str]:
 
 
 class KernelScratch:
-    """Reusable per-round scratch for claim resolution.
+    """Reusable per-round scratch for the native engine's claim resolution.
 
-    The scatter paths (numpy and native) need per-vertex ``best_key`` /
-    ``best_center`` priority-write arrays.  Allocating them fresh every
-    round costs three O(n) allocations per round; this object allocates
-    once per BFS and both paths restore the *pristine invariant* — every
-    ``best_key`` entry ``+inf``, every ``best_center`` entry the
-    ``int64 max`` no-bid sentinel — after each use, touching only the
-    entries the round actually wrote.
+    The C priority write needs per-vertex ``best_key`` / ``best_center``
+    arrays.  Allocating them fresh every round would cost O(n) per round;
+    this object allocates once per BFS, and the kernel restores the
+    *pristine invariant* — every ``best_key`` entry ``+inf``, every
+    ``best_center`` entry the ``int64 max`` no-bid sentinel — after each
+    use, touching only the entries the round actually wrote.  The numpy
+    engine sorts packed bids instead and needs no scratch.
     """
 
     __slots__ = (
         "num_vertices",
         "best_key",
         "best_center",
-        "claimed",
         "touched",
         "winners",
         "owners",
@@ -141,7 +140,6 @@ class KernelScratch:
         self.num_vertices = int(num_vertices)
         self.best_key = np.full(self.num_vertices, np.inf)
         self.best_center = np.full(self.num_vertices, _NO_CENTER, dtype=np.int64)
-        self.claimed = np.zeros(self.num_vertices, dtype=bool)
         self.touched = np.empty(self.num_vertices, dtype=np.int64)
         self.winners = np.empty(self.num_vertices, dtype=np.int64)
         self.owners = np.empty(self.num_vertices, dtype=np.int64)
@@ -152,7 +150,6 @@ class KernelScratch:
             np.all(np.isinf(self.best_key))
             and np.all(self.best_key > 0)
             and np.all(self.best_center == _NO_CENTER)
-            and not self.claimed.any()
         )
 
 

@@ -100,6 +100,30 @@ def connected_graphs(draw, min_vertices: int = 2, max_vertices: int = 20):
     return from_edges(n, edges)
 
 
+@st.composite
+def mixed_graphs(draw):
+    """Grids, ER graphs, and disconnected graphs with isolated vertices."""
+    kind = draw(st.sampled_from(["grid", "er", "sparse"]))
+    if kind == "grid":
+        return grid_2d(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    n = draw(st.integers(1, 60))
+    if kind == "er":
+        p = draw(st.floats(0.02, 0.3))
+        return erdos_renyi(n, p, seed=draw(st.integers(0, 2**16)))
+    # A few random edges over many vertices: several small components
+    # and plenty of isolated vertices.
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+            max_size=n,
+        )
+    )
+    edges = np.asarray(
+        [(u, v) for u, v in pairs if u != v], dtype=np.int64
+    ).reshape(-1, 2)
+    return from_edges(n, edges, dedup=True)
+
+
 def assert_valid_partition(graph: CSRGraph, center: np.ndarray) -> None:
     """Common assertion: every vertex assigned, centers are fixed points."""
     n = graph.num_vertices

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParameterError
 from repro.bfs.delayed import delayed_multisource_bfs, resolve_claims
+from repro.bfs.kernels import KernelScratch, native_available
 from repro.bfs.dijkstra import shifted_integer_dijkstra
 from repro.graphs.build import from_edges
 from repro.graphs.generators import (
@@ -15,6 +18,11 @@ from repro.graphs.generators import (
     grid_2d,
     path_graph,
 )
+
+from tests.bfs_oracle import delayed_bfs_oracle
+from tests.conftest import mixed_graphs
+
+KERNELS = ["python"] + (["native"] if native_available() else [])
 
 
 class TestResolveClaims:
@@ -56,27 +64,151 @@ class TestResolveClaims:
                 g, ok_start, tie_key=np.asarray([0.1, np.nan, 0.2, 0.3])
             )
 
-    @pytest.mark.parametrize("trial", range(5))
-    def test_scatter_path_matches_semisort_path(self, trial):
-        """The O(C + n) scatter implementation must pick bit-identical
-        winners to the lexsort semisort for the same candidate multiset,
-        including exact key ties resolved by center id."""
-        rng = np.random.default_rng(trial)
-        n = 50
-        count = 3000  # >> n and > the 1024 floor: forces the scatter path
-        cand_v = rng.integers(0, n, count)
-        cand_c = rng.integers(0, n, count)
-        # Coarse keys make exact ties common, exercising the fallback rule.
-        # kernel="python" is pinned explicitly: under kernel="auto" with the
-        # extension built, both calls would route to the native kernel and
-        # this test would stop comparing the two numpy implementations.
-        key = rng.integers(0, 4, n) / 4.0
-        semisort = resolve_claims(cand_v, cand_c, key, kernel="python")
-        scatter = resolve_claims(
-            cand_v, cand_c, key, num_vertices=n, kernel="python"
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestResolveClaimsFrontDoor:
+    """Bad input fails the same typed way on every engine."""
+
+    def test_vertex_beyond_num_vertices(self, kernel):
+        with pytest.raises(ParameterError, match="vertex id out of range"):
+            resolve_claims(
+                [0, 99], [0, 0], np.zeros(4), num_vertices=4, kernel=kernel
+            )
+
+    def test_negative_vertex(self, kernel):
+        with pytest.raises(ParameterError, match="vertex id out of range"):
+            resolve_claims([-1, 2], [0, 0], np.zeros(4), kernel=kernel)
+
+    @pytest.mark.parametrize("bad_center", [4, -1])
+    def test_center_outside_tie_key(self, kernel, bad_center):
+        with pytest.raises(ParameterError, match="center id out of range"):
+            resolve_claims([0, 1], [0, bad_center], np.zeros(4), kernel=kernel)
+
+    def test_mismatched_lengths(self, kernel):
+        with pytest.raises(ParameterError, match="one length"):
+            resolve_claims([0, 1], [0, 0, 1], np.zeros(4), kernel=kernel)
+
+    def test_non_integer_ids(self, kernel):
+        with pytest.raises(ParameterError, match="integer"):
+            resolve_claims([0.0, 1.0], [0, 0], np.zeros(4), kernel=kernel)
+
+    def test_non_finite_key(self, kernel):
+        with pytest.raises(ParameterError, match="finite"):
+            resolve_claims(
+                [0, 1], [0, 1], np.asarray([0.0, np.nan]), kernel=kernel
+            )
+
+    @pytest.mark.parametrize("num_vertices", [None, 8])
+    def test_vertex_beyond_scratch(self, kernel, num_vertices):
+        with pytest.raises(ParameterError, match="vertex id out of range"):
+            resolve_claims(
+                [0, 4], [0, 0], np.zeros(8), num_vertices=num_vertices,
+                kernel=kernel, scratch=KernelScratch(4),
+            )
+
+    def test_no_candidates(self, kernel):
+        winners, owners = resolve_claims(
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(4), num_vertices=4, kernel=kernel,
         )
-        np.testing.assert_array_equal(semisort[0], scatter[0])
-        np.testing.assert_array_equal(semisort[1], scatter[1])
+        assert winners.size == 0 and owners.size == 0
+
+
+#: Tie keys with many exact ties, ``-0.0`` beside ``0.0`` included.
+_COARSE_KEYS = st.sampled_from([-0.0, 0.0, 0.25, 0.5, 0.75])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    data=st.data(),
+    kernel=st.sampled_from(KERNELS),
+)
+def test_resolve_claims_is_the_per_vertex_minimum(n, data, kernel):
+    """Each vertex's winner is its bid with the smallest
+    ``(tie_key[center], center)``, vertices ascending."""
+    key = np.asarray(
+        data.draw(st.lists(_COARSE_KEYS, min_size=n, max_size=n)),
+        dtype=np.float64,
+    )
+    ids = st.integers(0, n - 1)
+    bids = data.draw(st.lists(st.tuples(ids, ids), max_size=4 * n))
+    cand_v = np.asarray([v for v, _ in bids], dtype=np.int64)
+    cand_c = np.asarray([c for _, c in bids], dtype=np.int64)
+    best: dict[int, tuple[float, int]] = {}
+    for v, c in bids:
+        best[v] = min(best.get(v, (np.inf, n)), (float(key[c]), c))
+    winners, owners = resolve_claims(
+        cand_v, cand_c, key, num_vertices=n, kernel=kernel
+    )
+    np.testing.assert_array_equal(winners, sorted(best))
+    np.testing.assert_array_equal(owners, [best[v][1] for v in sorted(best)])
+
+
+@st.composite
+def _bfs_inputs(draw):
+    """A graph (``n`` down to 1, isolated vertices included) and BFS
+    arguments whose tie keys are often exactly equal."""
+    graph = draw(mixed_graphs())
+    n = graph.num_vertices
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    keys = draw(
+        st.sampled_from(["random", "integer", "coarse", "signed-zero"])
+    )
+    span = draw(st.integers(1, 12))
+    tie_key = None
+    if keys == "random":
+        start = rng.random(n) * span
+    elif keys == "integer":  # every fractional key is 0.0: all tie
+        start = rng.integers(0, span, n).astype(np.float64)
+    elif keys == "coarse":
+        start = rng.integers(0, 4 * span, n) / 4.0
+    else:
+        start = rng.random(n) * span
+        tie_key = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    mask = None
+    if draw(st.booleans()):
+        mask = rng.random(n) < draw(st.floats(0.05, 0.9))
+        mask[rng.integers(n)] = True
+    max_round = None
+    if draw(st.booleans()):
+        # From below the first wake to past the last claim.
+        max_round = int(np.floor(start.min())) + draw(st.integers(-2, 12))
+    return graph, start, dict(tie_key=tie_key, center_mask=mask,
+                              max_round=max_round)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_bfs_inputs(), kernel=st.sampled_from(KERNELS))
+def test_bfs_matches_the_lexsort_oracle(case, kernel):
+    """The packed-key engine returns the same result, field for field, as
+    the per-round ``lexsort`` loop it replaced."""
+    graph, start, options = case
+    _assert_matches_oracle(graph, start, kernel, **options)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_many_exact_ties_match_the_lexsort_oracle(kernel):
+    """Hundreds of centers per key value: the unstable key sort must still
+    order tied centers by id (small inputs rarely expose that order)."""
+    graph = grid_2d(40, 40)
+    rng = np.random.default_rng(5)
+    start = rng.integers(0, 24, graph.num_vertices) / 4.0
+    _assert_matches_oracle(graph, start, kernel)
+    _assert_matches_oracle(graph, start, kernel, tie_key=start % 0.5)
+
+
+def _assert_matches_oracle(graph, start, kernel, **options):
+    got = delayed_multisource_bfs(graph, start, kernel=kernel, **options)
+    want = delayed_bfs_oracle(graph, start, **options)
+    for name in ("center", "round_claimed", "hops"):
+        np.testing.assert_array_equal(
+            getattr(got, name), getattr(want, name), name
+        )
+    for name in (
+        "num_rounds", "active_rounds", "work", "frontier_sizes"
+    ):
+        assert getattr(got, name) == getattr(want, name), name
 
 
 class TestDelayedBFSBasics:

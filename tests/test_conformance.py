@@ -206,37 +206,38 @@ def test_kernels_conform_under_mask_and_cap(restriction):
 @pytest.mark.parametrize(
     "num_vertices,count",
     [
-        # Straddle the `count >= num_vertices` scatter trigger ...
+        # Candidate volumes around the vertex count, where the numpy
+        # engine once switched resolve implementation ...
         (2000, 1999),
         (2000, 2000),
         (2000, 2001),
-        # ... and the 1024 floor below which the semisort always runs.
+        # ... and around its former 1024-candidate floor.
         (500, 1023),
         (500, 1024),
         (500, 1025),
     ],
 )
 def test_resolve_claims_boundaries_across_kernels(num_vertices, count):
-    """At the scatter-vs-semisort boundary the python engine switches
-    implementation; both sides of the switch and the native kernel must
-    produce identical winner sets (coarse keys force exact ties)."""
+    """The numpy packed-key resolve, with and without ``num_vertices``,
+    and the native kernel produce identical winner sets (coarse keys force
+    exact ties)."""
     rng = np.random.default_rng(num_vertices * 31 + count)
     cand_v = rng.integers(0, num_vertices, count)
     cand_c = rng.integers(0, num_vertices, count)
     tie_key = rng.integers(0, 8, num_vertices) / 8.0
-    semisort = resolve_claims(cand_v, cand_c, tie_key, kernel="python")
-    chosen = resolve_claims(
+    unbounded = resolve_claims(cand_v, cand_c, tie_key, kernel="python")
+    bounded = resolve_claims(
         cand_v, cand_c, tie_key, num_vertices=num_vertices, kernel="python"
     )
     native = resolve_claims(
         cand_v, cand_c, tie_key, num_vertices=num_vertices, kernel="native"
     )
     for label, (winners, owners) in (
-        ("python path switch", chosen),
+        ("python with num_vertices", bounded),
         ("native kernel", native),
     ):
-        np.testing.assert_array_equal(semisort[0], winners, label)
-        np.testing.assert_array_equal(semisort[1], owners, label)
+        np.testing.assert_array_equal(unbounded[0], winners, label)
+        np.testing.assert_array_equal(unbounded[1], owners, label)
 
 
 # ---------------------------------------------------------------------------

@@ -96,24 +96,6 @@ class TestKernelScratch:
     def test_starts_pristine(self):
         assert KernelScratch(16).pristine()
 
-    def test_python_scatter_restores_pristine(self):
-        n = 64
-        scratch = KernelScratch(n)
-        rng = np.random.default_rng(0)
-        cand_v = rng.integers(0, n, 3000)
-        cand_c = rng.integers(0, n, 3000)
-        tie_key = rng.random(n)
-        with_scratch = resolve_claims(
-            cand_v, cand_c, tie_key,
-            num_vertices=n, kernel="python", scratch=scratch,
-        )
-        assert scratch.pristine()
-        without = resolve_claims(
-            cand_v, cand_c, tie_key, num_vertices=n, kernel="python"
-        )
-        np.testing.assert_array_equal(with_scratch[0], without[0])
-        np.testing.assert_array_equal(with_scratch[1], without[1])
-
     @needs_native
     def test_native_resolve_restores_pristine(self):
         n = 32

@@ -30,7 +30,7 @@ from repro.embeddings.hierarchy import Hierarchy, hierarchical_decomposition
 from repro.errors import GraphError, ParameterError
 from repro.graphs.build import from_edges
 from repro.graphs.csr import CSRGraph
-from repro.graphs.generators import erdos_renyi, grid_2d
+from repro.graphs.generators import grid_2d
 from repro.graphs.ops import (
     connected_components,
     induced_subgraph,
@@ -43,6 +43,7 @@ from repro.pipeline import EngineProvider
 from repro.pipeline.levels import decompose_level
 from repro.serve.store import csr_digest, graph_digest, piece_digests
 
+from tests.conftest import mixed_graphs
 from tests.level_oracle import decompose_level_oracle, refine_oracle
 
 KERNELS = ["python"] + (["native"] if native_available() else [])
@@ -57,30 +58,6 @@ SHIFT_CASES = [
 ]
 
 
-@st.composite
-def graphs(draw):
-    """Grids, ER graphs, and disconnected graphs with isolated vertices."""
-    kind = draw(st.sampled_from(["grid", "er", "sparse"]))
-    if kind == "grid":
-        return grid_2d(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
-    n = draw(st.integers(1, 60))
-    if kind == "er":
-        p = draw(st.floats(0.02, 0.3))
-        return erdos_renyi(n, p, seed=draw(st.integers(0, 2**16)))
-    # A few random edges over many vertices: several small components
-    # and plenty of isolated vertices.
-    pairs = draw(
-        st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-            max_size=n,
-        )
-    )
-    edges = np.asarray(
-        [(u, v) for u, v in pairs if u != v], dtype=np.int64
-    ).reshape(-1, 2)
-    return from_edges(n, edges, dedup=True)
-
-
 _SETTINGS = settings(
     max_examples=40,
     deadline=None,
@@ -90,7 +67,7 @@ _SETTINGS = settings(
 
 @_SETTINGS
 @given(
-    graph=graphs(),
+    graph=mixed_graphs(),
     seed=st.integers(0, 2**32),
     case=st.sampled_from(SHIFT_CASES),
     kernel=st.sampled_from(KERNELS),
@@ -114,7 +91,7 @@ def test_hierarchy_labels_match_the_per_piece_oracle(
 
 @_SETTINGS
 @given(
-    graph=graphs(),
+    graph=mixed_graphs(),
     seed=st.integers(0, 2**32),
     beta=st.floats(0.2, 0.9),
     case=st.sampled_from(SHIFT_CASES),
@@ -174,7 +151,7 @@ def test_level_result_refines_the_labels_with_parent_ids():
     np.testing.assert_array_equal(labels[dec.center], labels)
 
 
-@given(graph=graphs(), data=st.data())
+@given(graph=mixed_graphs(), data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_layout_pieces_hash_like_their_induced_subgraphs(graph, data):
     n = graph.num_vertices
