@@ -1,5 +1,5 @@
-"""Breadth-first-search engines: sequential oracle, vectorised frontier,
-delayed-start shifted BFS, and Dijkstra references."""
+"""Breadth-first-search engines: sequential oracle, vectorised frontier
+expansion, delayed-start shifted BFS, and Dijkstra references."""
 
 from repro.bfs.delayed import (
     DelayedBFSResult,
@@ -13,11 +13,7 @@ from repro.bfs.dijkstra import (
     dijkstra_multisource,
     shifted_integer_dijkstra,
 )
-from repro.bfs.frontier import (
-    FrontierBFSResult,
-    frontier_bfs,
-    gather_frontier_arcs,
-)
+from repro.bfs.frontier import gather_frontier_arcs
 from repro.bfs.sequential import (
     BFSResult,
     bfs,
@@ -32,8 +28,6 @@ __all__ = [
     "multi_source_bfs",
     "eccentricity",
     "graph_diameter_lb",
-    "FrontierBFSResult",
-    "frontier_bfs",
     "gather_frontier_arcs",
     "DelayedBFSResult",
     "delayed_multisource_bfs",

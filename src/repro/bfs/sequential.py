@@ -1,8 +1,8 @@
 """Sequential breadth-first search — the correctness oracle.
 
-Plain deque-based BFS used as the reference implementation against which the
-vectorised frontier engine and the multiprocessing backend are property-tested.
-Kept deliberately simple; it is never on the benchmarked hot path.
+Plain deque-based BFS: the reference distances that tests and verifiers
+check the other engines against.  Kept deliberately simple; it is never on the
+benchmarked hot path.
 """
 
 from __future__ import annotations

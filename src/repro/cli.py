@@ -769,15 +769,14 @@ def _cmd_bench_throughput(args: argparse.Namespace) -> int:
     return 0 if identical else 1
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-    from pathlib import Path
-
+def _serve_inputs(args: argparse.Namespace) -> tuple[list, int]:
+    """``--graph``/``--weights``/``--graph-file`` → the graphs to preload,
+    and ``--cache-bytes`` → the result-cache budget (``repro serve`` and
+    ``repro cluster``)."""
     from repro.graphs.generators import by_name
     from repro.graphs.io import load_graph
     from repro.graphs.weighted import weights_by_name
     from repro.serve.cache import DEFAULT_MAX_BYTES
-    from repro.serve.server import DecompositionServer
 
     graphs = []
     for spec in args.graph:
@@ -790,6 +789,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     cache_bytes = (
         DEFAULT_MAX_BYTES if args.cache_bytes is None else args.cache_bytes
     )
+    return graphs, cache_bytes
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+    from pathlib import Path
+
+    from repro.serve.server import DecompositionServer
+
+    graphs, cache_bytes = _serve_inputs(args)
     server = DecompositionServer(
         graphs,
         host=args.host,
@@ -823,26 +832,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     from repro.cluster.router import ClusterRouter
     from repro.errors import ParameterError
-    from repro.graphs.generators import by_name
-    from repro.graphs.io import load_graph
-    from repro.graphs.weighted import weights_by_name
-    from repro.serve.cache import DEFAULT_MAX_BYTES
     from repro.serve.client import ServeClient
     from repro.serve.server import serve_background
 
     if args.shards < 1:
         raise ParameterError(f"--shards must be >= 1, got {args.shards}")
-    graphs = []
-    for spec in args.graph:
-        graph = by_name(spec, seed=args.seed)
-        if args.weights:
-            graph = weights_by_name(graph, args.weights, seed=args.seed)
-        graphs.append(graph)
-    for path in args.graph_file:
-        graphs.append(load_graph(path))
-    cache_bytes = (
-        DEFAULT_MAX_BYTES if args.cache_bytes is None else args.cache_bytes
-    )
+    graphs, cache_bytes = _serve_inputs(args)
     router_kwargs = {}
     if args.replicas is not None:
         router_kwargs["replicas"] = args.replicas

@@ -46,28 +46,24 @@ from __future__ import annotations
 
 import asyncio
 import contextvars
-import errno
 import logging
 import os
-import threading
 import time
-from contextlib import contextmanager
 
 from repro._version import __version__
-from repro.errors import ParameterError, ReproError, ServeError
+from repro.errors import ParameterError, ServeError
 from repro.cluster.hash_ring import DEFAULT_REPLICAS, HashRing
 from repro.serve.aio_client import AsyncServeClient
 from repro.serve.client import graph_upload_message
 from repro.serve.protocol import (
     PROTOCOL_VERSION,
-    decode_frame_payload,
     encode_frame,
-    framing_error_frame,
     parse_frame_length,
     peek_frame_fields,
     restamp_frame,
 )
-from repro.serve.server import close_listener, upload_builder
+from repro.serve.server import upload_builder
+from repro.serve.service import FrameService
 from repro.telemetry import (
     MetricsRegistry,
     merge_snapshots,
@@ -194,9 +190,7 @@ class _RelayChannel:
         ):
             return
         self._connecting = True
-        task = loop.create_task(self._connect())
-        self._router._conn_tasks.add(task)
-        task.add_done_callback(self._router._conn_tasks.discard)
+        self._router._spawn(self._connect())
 
     async def _connect(self) -> None:
         host, port = self._shard
@@ -254,12 +248,7 @@ class _RelayChannel:
         return True
 
     def _error_frame(self, orig_id, detail: str) -> bytes:
-        fields = {
-            "ok": False,
-            "error": "ServeError",
-            "message": f"shard {self._label} unreachable: {detail}",
-            "shard": self._label,
-        }
+        fields = self._router._shard_unreachable(self._label, detail)
         if orig_id is not _NO_ID:
             fields["id"] = orig_id
         return encode_frame(fields)
@@ -269,12 +258,11 @@ class _RelayChannel:
         if entry is None:
             return
         client_writer, orig_id, op = entry[:3]
-        self._router._shard_errors += 1
+        frame = self._error_frame(
+            orig_id, f"timed out after {self._timeout}s waiting for op {op!r}"
+        )
         if not client_writer.transport.is_closing():
-            client_writer.write(self._error_frame(
-                orig_id,
-                f"timed out after {self._timeout}s waiting for op {op!r}",
-            ))
+            client_writer.write(frame)
 
     async def _read_loop(self) -> None:
         reader = self._reader
@@ -338,9 +326,9 @@ class _RelayChannel:
         self._retry_at = self._router._loop.time() + _RELAY_RETRY
         for client_writer, orig_id, _op, timer, *_rest in pending.values():
             timer.cancel()
-            self._router._shard_errors += 1
+            frame = self._error_frame(orig_id, detail)
             if not client_writer.transport.is_closing():
-                client_writer.write(self._error_frame(orig_id, detail))
+                client_writer.write(frame)
         if writer is not None:
             writer.close()
 
@@ -364,7 +352,33 @@ class _RelayChannel:
         self._pending.clear()
 
 
-class ClusterRouter:
+def _traced(handler):
+    """A control-plane op, run under a ``router.<op>`` span when traced.
+
+    Control-plane ops answer router-side (fan-outs, uploads), so the
+    router is the traced server here; the shard hops inside run untraced
+    on purpose — their latency is the fan-out's latency.  Graph ops are
+    not wrapped: their relay span is interposed where they are forwarded.
+    """
+
+    async def run(self, message: dict) -> dict:
+        trace_ctx = _trace_ctx_of(message)
+        if trace_ctx is None:
+            return await handler(self, message)
+        op = message.get("op")
+        with _trace.collect_spans() as spans:
+            with _trace.adopt_context(
+                trace_ctx["trace_id"], trace_ctx.get("span_id")
+            ):
+                with _trace.span(f"router.{op}", op=str(op)):
+                    response = await handler(self, message)
+        response["spans"] = list(response.get("spans") or ()) + spans
+        return response
+
+    return run
+
+
+class ClusterRouter(FrameService):
     """Consistent-hash front for N decomposition shards.
 
     Parameters
@@ -386,9 +400,11 @@ class ClusterRouter:
         before the router stops (the ``repro cluster`` CLI spawns its own
         shards and passes this).
     idle_ttl:
-        Shut the router down after this many seconds without any client
-        frame.
+        Shut the router down after this many seconds without a client
+        frame or a request in progress.
     """
+
+    _role = "router"
 
     def __init__(
         self,
@@ -402,37 +418,22 @@ class ClusterRouter:
         owns_shards: bool = False,
         idle_ttl: float | None = None,
     ) -> None:
+        super().__init__(host=host, port=port, idle_ttl=idle_ttl)
         shards = [(str(h), int(p)) for h, p in shards]
         if not shards:
             raise ParameterError("a cluster needs at least one shard")
         self._shards = shards
         self._labels = [f"{h}:{p}" for h, p in shards]
         self._ring = HashRing(self._labels, replicas=replicas)
-        self._host = host
-        self._port = int(port)
         self._timeout = float(timeout)
         self._connect_window = float(connect_window)
         self._owns_shards = bool(owns_shards)
-        if idle_ttl is not None and idle_ttl <= 0:
-            raise ParameterError(f"idle_ttl must be > 0, got {idle_ttl}")
-        self._idle_ttl = idle_ttl
 
         self._clients: dict[str, AsyncServeClient] = {}
         self._relays: dict[str, _RelayChannel] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._started_at = time.monotonic()
-        self._last_activity = time.monotonic()
-        self.address: tuple[str, int] | None = None
-
-        self._connections = 0
-        self._requests_total = 0
         self._forwarded = 0
         self._shard_errors = 0
         self._miss_uploads = 0
-        self._errors = 0
         # The router's own registry is an instance, not the process-global
         # one: under in-process loopback (tests, serve_background shards)
         # the global registry is shared with the shards, and the metrics
@@ -452,13 +453,18 @@ class ClusterRouter:
         return self._ring.owner(digest)
 
     # ------------------------------------------------------------------
-    # lifecycle (mirrors DecompositionServer)
+    # lifecycle (the rest is FrameService's)
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
-        if self._server is not None:
-            raise ServeError("router is already started")
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+        address = await super().start()
+        logger.info(
+            "routing %d shard(s) on %s:%d: %s",
+            len(self._labels), address[0], address[1],
+            ", ".join(self._labels),
+        )
+        return address
+
+    async def _open(self) -> None:
         self._clients = {
             label: AsyncServeClient(
                 h,
@@ -473,64 +479,8 @@ class ClusterRouter:
             label: _RelayChannel(self, label, h, p)
             for label, (h, p) in zip(self._labels, self._shards)
         }
-        try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self._host, self._port
-            )
-        except OSError as exc:
-            if exc.errno == errno.EADDRINUSE:
-                raise ServeError(
-                    f"cannot listen on {self._host}:{self._port}: "
-                    f"address already in use (is another server "
-                    f"running there?)"
-                ) from None
-            raise
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        self._started_at = time.monotonic()
-        logger.info(
-            "routing %d shard(s) on %s:%d: %s",
-            len(self._labels), self.address[0], self.address[1],
-            ", ".join(self._labels),
-        )
-        self._touch()
-        if self._idle_ttl is not None:
-            task = self._loop.create_task(self._ttl_watchdog())
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        return self.address
 
-    async def run_async(self, *, ready=None) -> None:
-        """Start, signal ``ready``, route until shutdown, then clean up."""
-        await self.start()
-        if ready is not None:
-            getattr(ready, "set", ready)()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.aclose()
-
-    def request_shutdown(self) -> None:
-        """Ask the router to stop; safe to call from any thread."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:  # loop already closed
-            pass
-
-    async def aclose(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
-        server, self._server = self._server, None
-        if server is not None:
-            await close_listener(server)
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
+    async def _release(self) -> None:
         relays, self._relays = self._relays, {}
         for relay in relays.values():
             await relay.close()
@@ -538,163 +488,47 @@ class ClusterRouter:
         for client in clients.values():
             await client.aclose()
 
-    # ------------------------------------------------------------------
-    # connection handling (same pipelined frame loop as the server)
-    # ------------------------------------------------------------------
-    def _touch(self) -> None:
-        self._last_activity = time.monotonic()
+    def _busy(self) -> bool:
+        # A request riding a relay channel has no task; its pending entry
+        # is the activity.
+        return any(relay._pending for relay in self._relays.values())
 
-    async def _ttl_watchdog(self) -> None:
-        while not self._stop_event.is_set():
-            idle = time.monotonic() - self._last_activity
-            if idle >= self._idle_ttl:
-                self._stop_event.set()
-                return
-            await asyncio.sleep(
-                max(0.05, min(self._idle_ttl - idle, self._idle_ttl / 4))
-            )
-
-    async def _handle_connection(self, reader, writer) -> None:
-        # Registered until the task is done, i.e. after its socket closed,
-        # so aclose() waits out every handler's teardown.
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        self._connections += 1
-        write_lock = asyncio.Lock()
-        request_tasks: set[asyncio.Task] = set()
-
-        async def _respond(message: dict) -> None:
-            response = await self._dispatch(message)
-            if isinstance(response, (bytes, bytearray)):
-                frame = bytes(response)  # pre-framed raw relay
-            else:
-                if "id" in message:
-                    response["id"] = message["id"]
-                try:
-                    frame = encode_frame(response)
-                except ServeError as exc:  # oversized response
-                    frame = encode_frame(
-                        {
-                            "ok": False,
-                            "error": "ServeError",
-                            "message": str(exc),
-                            **(
-                                {"id": message["id"]}
-                                if "id" in message
-                                else {}
-                            ),
-                        }
-                    )
-            try:
-                async with write_lock:
-                    writer.write(frame)
-                    await writer.drain()
-            except ConnectionError:
-                pass  # client hung up before reading its response
-
-        try:
-            while True:
-                body = None
-                try:
-                    header = await reader.readexactly(4)
-                    length = parse_frame_length(header)
-                    body = await reader.readexactly(length)
-                    self._touch()
-                    fields = peek_frame_fields(body)
-                except asyncio.IncompleteReadError:
-                    return
-                except ServeError as exc:
-                    async with write_lock:
-                        writer.write(framing_error_frame(str(exc), body))
-                        await writer.drain()
-                    return
-                # Data plane: a graph op keyed by digest alone rides the
-                # owner's relay channel — restamped in place, no task.
-                relay_key = (
-                    _routing_digest(fields)
-                    if fields.get("op") in _GRAPH_OPS
-                    and "graph" not in fields
-                    else None
-                )
-                if relay_key is not None:
-                    channel = self._relays[self._ring.owner(relay_key)]
-                    if channel.submit(body, fields, writer):
-                        self._requests_total += 1
-                        self._forwarded += 1
-                        continue
-                    # Channel down: reconnect in the background, answer
-                    # this request on the task path.
-                    channel.ensure()
-                try:
-                    message = decode_frame_payload(body)
-                except ServeError as exc:
-                    async with write_lock:
-                        writer.write(framing_error_frame(str(exc)))
-                        await writer.drain()
-                    return
-                request = self._loop.create_task(_respond(message))
-                for registry in (request_tasks, self._conn_tasks):
-                    registry.add(request)
-                    request.add_done_callback(registry.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            requests = list(request_tasks)
-            for request in requests:
-                request.cancel()
-            writer.close()
-            try:
-                await asyncio.gather(*requests, return_exceptions=True)
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
-    async def _dispatch(self, message: dict) -> dict | bytes:
-        self._requests_total += 1
-        op = message.get("op")
-        try:
-            if op in _GRAPH_OPS:
-                return await self._route_graph_op(message)
-            handler = self._OPS.get(op)
-            if handler is None:
-                raise ParameterError(
-                    f"unknown op {op!r}; choices: "
-                    f"{sorted(set(self._OPS) | set(_GRAPH_OPS))}"
-                )
-            trace_ctx = _trace_ctx_of(message)
-            if trace_ctx is not None:
-                # Control-plane ops answer router-side (fan-outs,
-                # uploads), so the router is the traced server here; the
-                # shard hops inside run untraced on purpose — their
-                # latency is the fan-out's latency.
-                with _trace.collect_spans() as spans:
-                    with _trace.adopt_context(
-                        trace_ctx["trace_id"], trace_ctx.get("span_id")
-                    ):
-                        with _trace.span(f"router.{op}", op=str(op)):
-                            response = await handler(self, message)
-                response["spans"] = list(response.get("spans") or ()) + spans
-                return response
-            return await handler(self, message)
-        except ReproError as exc:
-            self._errors += 1
-            return {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        except Exception as exc:  # pragma: no cover - defensive
-            self._errors += 1
-            return {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": f"internal router error: {exc}",
-            }
+    def _relay(self, body: bytes, writer) -> bool:
+        # Data plane: a graph op keyed by digest alone rides the owner's
+        # relay channel — restamped in place, no task.
+        fields = peek_frame_fields(body)
+        if fields.get("op") not in _GRAPH_OPS or "graph" in fields:
+            return False
+        relay_key = _routing_digest(fields)
+        if relay_key is None:
+            return False
+        channel = self._relays[self._ring.owner(relay_key)]
+        if channel.submit(body, fields, writer):
+            self._requests_total += 1
+            self._forwarded += 1
+            return True
+        # Channel down: reconnect in the background, answer this request
+        # on the task path.
+        channel.ensure()
+        return False
 
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
+    def _shard_unreachable(self, label: str, detail) -> dict:
+        """The error fields naming a shard the router could not reach.
+
+        Counts one shard error.  Every forwarding path answers a transport
+        failure (connect refused, timeout, dropped stream) with these.
+        """
+        self._shard_errors += 1
+        return {
+            "ok": False,
+            "error": "ServeError",
+            "message": f"shard {label} unreachable: {detail}",
+            "shard": label,
+        }
+
     async def _forward(self, label: str, message: dict) -> dict:
         """Relay ``message`` to shard ``label``; error frame on failure.
 
@@ -707,13 +541,7 @@ class ClusterRouter:
         try:
             return await self._clients[label].call(message, check=False)
         except ServeError as exc:
-            self._shard_errors += 1
-            return {
-                "ok": False,
-                "error": "ServeError",
-                "message": f"shard {label} unreachable: {exc}",
-                "shard": label,
-            }
+            return self._shard_unreachable(label, exc)
 
     async def _forward_raw(
         self, label: str, message: dict
@@ -729,16 +557,7 @@ class ClusterRouter:
         try:
             return await self._clients[label].call_raw(message)
         except ServeError as exc:
-            self._shard_errors += 1
-            return (
-                {
-                    "ok": False,
-                    "error": "ServeError",
-                    "message": f"shard {label} unreachable: {exc}",
-                    "shard": label,
-                },
-                None,
-            )
+            return self._shard_unreachable(label, exc), None
 
     async def _route_graph_op(self, message: dict) -> dict | bytes:
         digest = _routing_digest(message)
@@ -862,13 +681,7 @@ class ClusterRouter:
                 graph_upload_message(graph)
             )
         except ServeError as exc:
-            self._shard_errors += 1
-            return {
-                "ok": False,
-                "error": "ServeError",
-                "message": f"shard {label} unreachable: {exc}",
-                "shard": label,
-            }
+            return self._shard_unreachable(label, exc)
         self._forwarded += 1
         return {**response, "shard": label}
 
@@ -966,19 +779,18 @@ class ClusterRouter:
                     for label in self._labels
                 )
             )
-        self._stop_event.set()
-        return {"ok": True, "stopping": True}
+        return await super()._op_shutdown(message)
 
     _OPS = {
-        "hello": _op_hello,
-        "upload": _op_upload,
-        "stats": _op_stats,
-        "metrics": _op_metrics,
-        "shutdown": _op_shutdown,
+        **dict.fromkeys(_GRAPH_OPS, _route_graph_op),
+        "hello": _traced(_op_hello),
+        "upload": _traced(_op_upload),
+        "stats": _traced(_op_stats),
+        "metrics": _traced(_op_metrics),
+        "shutdown": _traced(_op_shutdown),
     }
 
 
-@contextmanager
 def router_background(shards, **kwargs):
     """A :class:`ClusterRouter` on a daemon thread, as a context manager.
 
@@ -986,29 +798,4 @@ def router_background(shards, **kwargs):
     :func:`repro.serve.server.serve_background`; yields the started router
     with ``router.address`` bound.
     """
-    router = ClusterRouter(shards, **kwargs)
-    ready = threading.Event()
-    failure: list[BaseException] = []
-
-    def _runner() -> None:
-        try:
-            asyncio.run(router.run_async(ready=ready))
-        except BaseException as exc:  # pragma: no cover - startup failure
-            failure.append(exc)
-        finally:
-            ready.set()
-
-    thread = threading.Thread(
-        target=_runner, daemon=True, name="repro-cluster-router"
-    )
-    thread.start()
-    ready.wait(timeout=60)
-    if failure:
-        raise failure[0]
-    if router.address is None:
-        raise ServeError("cluster router failed to start")
-    try:
-        yield router
-    finally:
-        router.request_shutdown()
-        thread.join(timeout=60)
+    return ClusterRouter(shards, **kwargs).in_background()

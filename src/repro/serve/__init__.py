@@ -14,6 +14,9 @@ execution.
   :func:`graph_digest`;
 - :mod:`repro.serve.cache` — :class:`ResultCache`, byte-budgeted LRU with
   hit/miss/eviction counters;
+- :mod:`repro.serve.service` — :class:`~repro.serve.service.FrameService`,
+  the lifecycle, frame loop and error envelope the server and the
+  cluster router share;
 - :mod:`repro.serve.server` — :class:`DecompositionServer` (asyncio) and
   the :func:`serve_background` thread harness;
 - :mod:`repro.serve.client` — blocking :class:`ServeClient` /

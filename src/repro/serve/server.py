@@ -27,18 +27,19 @@ on the event loop — single-threaded by construction, no locks.  The wire
 protocol is documented in :mod:`repro.serve.protocol`
 and DESIGN.md §7–8.
 
-Lifecycle: :meth:`DecompositionServer.run_async` inside an event loop you
-own, or :func:`serve_background` for a daemon-thread server in tests,
-benchmarks, and notebooks.  ``idle_ttl`` arms a watchdog that shuts the
-server down after that many seconds without a frame — the guard rail for
-CI-spawned servers.
+The lifecycle, the frame loop and the error envelope come from
+:class:`~repro.serve.service.FrameService`:
+:meth:`DecompositionServer.run_async` inside an event loop you own, or
+:func:`serve_background` for a daemon-thread server in tests, benchmarks,
+and notebooks.  ``idle_ttl`` arms a watchdog that shuts the server down
+after that many seconds without a frame or an execution in flight — the
+guard rail for CI-spawned servers.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import errno
 import hashlib
 import json
 import logging
@@ -46,9 +47,7 @@ import math
 import os
 import shutil
 import tempfile
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +56,7 @@ from repro._version import __version__
 from repro.bfs.kernels import native_available
 from repro.core.engine import DEFAULT_METHODS, PartitionResult, _resolve
 from repro.core.weighted import WeightedDecomposition
-from repro.errors import ParameterError, ReproError, ServeError
+from repro.errors import ParameterError, ServeError
 from repro.graphs.backing import BACKING_KINDS
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import GRAPH_FORMATS, parse_graph
@@ -76,11 +75,8 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     as_array,
     canonical_cache_key,
-    decode_frame_payload,
-    encode_frame,
-    framing_error_frame,
-    parse_frame_length,
 )
+from repro.serve.service import FrameService
 from repro.serve.store import GraphStore, graph_digest
 from repro.telemetry import metrics as _metrics
 from repro.telemetry import trace as _trace
@@ -88,7 +84,6 @@ from repro.telemetry.metrics import COUNT_BUCKETS, render_prometheus
 
 __all__ = [
     "DecompositionServer",
-    "close_listener",
     "serve_background",
     "upload_builder",
 ]
@@ -101,26 +96,6 @@ _UPLOAD_CLASSES: dict[str, tuple[str, ...]] = {
     "CSRGraph": ("indptr", "indices"),
     "WeightedCSRGraph": ("indptr", "indices", "weights"),
 }
-
-
-async def close_listener(server: asyncio.AbstractServer) -> None:
-    """Stop accepting, let the accepts in flight land, then close.
-
-    Closing an ``asyncio`` server while an accepted socket is still being
-    wrapped in its transport fails inside asyncio (``Server._attach``
-    asserts on 3.11) and leaks that socket unclosed.  Taking the listening
-    sockets off the loop first stops new accepts; three loop turns then
-    carry each accept already in flight through transport creation,
-    ``connection_made`` and its handler's first step, so the handler is
-    registered for the caller's connection drain.
-    """
-    loop = asyncio.get_running_loop()
-    for sock in server.sockets:
-        loop.remove_reader(sock.fileno())
-    for _ in range(3):
-        await asyncio.sleep(0)
-    server.close()
-    await server.wait_closed()
 
 
 def upload_builder(message: dict):
@@ -361,7 +336,7 @@ def _slim_from_result(result: PartitionResult) -> _SlimResult:
     )
 
 
-class DecompositionServer:
+class DecompositionServer(FrameService):
     """Async JSON-over-TCP decomposition service.
 
     Parameters
@@ -377,13 +352,16 @@ class DecompositionServer:
         Result-cache byte budget (0 disables memoization but keeps
         coalescing).
     idle_ttl:
-        Shut down after this many seconds without any client frame.
+        Shut down after this many seconds without a client frame or a
+        request in progress.
     slow_request_ms:
         Requests slower than this emit one structured WARNING line on the
         ``repro.serve.server`` logger (op, elapsed, cached/coalesced
         flags) and bump ``repro_slow_requests_total``.  ``None`` disables
         the log entirely.
     """
+
+    _role = "server"
 
     def __init__(
         self,
@@ -397,17 +375,13 @@ class DecompositionServer:
         idle_ttl: float | None = None,
         slow_request_ms: float | None = 1000.0,
     ) -> None:
+        super().__init__(host=host, port=port, idle_ttl=idle_ttl)
         if isinstance(graphs, CSRGraph):
             graphs = [graphs]
         self._preload = list(graphs or [])
-        self._host = host
-        self._port = int(port)
         self._max_workers = max_workers
         self._start_method = start_method
         self._cache_bytes = int(cache_bytes)
-        if idle_ttl is not None and idle_ttl <= 0:
-            raise ParameterError(f"idle_ttl must be > 0, got {idle_ttl}")
-        self._idle_ttl = idle_ttl
         if slow_request_ms is not None and slow_request_ms < 0:
             raise ParameterError(
                 f"slow_request_ms must be >= 0, got {slow_request_ms}"
@@ -420,113 +394,41 @@ class DecompositionServer:
         self._store: GraphStore | None = None
         self._cache = ResultCache(self._cache_bytes)
         self._inflight: dict[tuple, asyncio.Future] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._stop_event: asyncio.Event | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-        self._started_at = time.monotonic()
-        self._last_activity = time.monotonic()
-        self.address: tuple[str, int] | None = None
         self.preloaded: tuple[str, ...] = ()
 
         self._upload_sessions: dict[str, _UploadSession] = {}
         self._spool_dir: str | None = None
-        self._connections = 0
-        self._requests_total = 0
         self._decompose_requests = 0
         self._coalesced = 0
         self._pool_executions = 0
         self._app_requests = 0
         self._app_executions = 0
-        self._errors = 0
 
     # ------------------------------------------------------------------
-    # lifecycle
+    # lifecycle (the rest is FrameService's)
     # ------------------------------------------------------------------
     async def start(self) -> tuple[str, int]:
         """Start the pool, preload graphs, bind the listener."""
-        if self._server is not None:
-            raise ServeError("server is already started")
-        self._loop = asyncio.get_running_loop()
-        self._stop_event = asyncio.Event()
+        address = await super().start()
+        logger.info(
+            "serving on %s:%d (workers=%d, preloaded=%d, ttl=%s)",
+            address[0], address[1], self._pool.max_workers,
+            len(self.preloaded), self._idle_ttl,
+        )
+        return address
+
+    async def _open(self) -> None:
         self._spool_dir = tempfile.mkdtemp(prefix="repro-serve-spool-")
         self._pool = DecompositionPool(
             max_workers=self._max_workers,
             start_method=self._start_method,
         )
-        try:
-            self._store = GraphStore(self._pool)
-            self.preloaded = tuple(
-                self._store.put(graph)[0] for graph in self._preload
-            )
-            try:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, self._host, self._port
-                )
-            except OSError as exc:
-                if exc.errno == errno.EADDRINUSE:
-                    raise ServeError(
-                        f"cannot listen on {self._host}:{self._port}: "
-                        f"address already in use (is another server "
-                        f"running there?)"
-                    ) from None
-                raise
-        except BaseException:
-            self._pool.shutdown()
-            self._pool = None
-            raise
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        self._started_at = time.monotonic()
-        logger.info(
-            "serving on %s:%d (workers=%d, preloaded=%d, ttl=%s)",
-            self.address[0], self.address[1], self._pool.max_workers,
-            len(self.preloaded), self._idle_ttl,
+        self._store = GraphStore(self._pool)
+        self.preloaded = tuple(
+            self._store.put(graph)[0] for graph in self._preload
         )
-        self._touch()
-        if self._idle_ttl is not None:
-            task = self._loop.create_task(self._ttl_watchdog())
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        return self.address
 
-    async def run_async(self, *, ready=None) -> None:
-        """Start, signal ``ready``, serve until shutdown, then clean up.
-
-        ``ready`` may be a :class:`threading.Event` (its ``set`` is called)
-        or any zero-argument callable (the CLI prints the bound address);
-        either fires after :attr:`address` is populated.
-        """
-        await self.start()
-        if ready is not None:
-            getattr(ready, "set", ready)()
-        try:
-            await self._stop_event.wait()
-        finally:
-            await self.aclose()
-
-    def request_shutdown(self) -> None:
-        """Ask the server to stop; safe to call from any thread."""
-        loop, event = self._loop, self._stop_event
-        if loop is None or event is None:
-            return
-        try:
-            loop.call_soon_threadsafe(event.set)
-        except RuntimeError:  # loop already closed
-            pass
-
-    async def aclose(self) -> None:
-        """Stop listening, drop connections, shut the pool down."""
-        if self._stop_event is not None:
-            self._stop_event.set()
-        server, self._server = self._server, None
-        if server is not None:
-            await close_listener(server)
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
-        self._conn_tasks.clear()
+    async def _release(self) -> None:
         sessions, self._upload_sessions = self._upload_sessions, {}
         for session in sessions.values():
             session.broken = "server shut down"
@@ -546,106 +448,15 @@ class DecompositionServer:
                 self.address[0], self.address[1], self._requests_total,
             )
 
+    def _busy(self) -> bool:
+        # A pool execution in progress is activity even when no frames
+        # arrive.
+        return bool(self._inflight)
+
     # ------------------------------------------------------------------
-    # connection handling
+    # per-request extras: span, metrics, slow-request log
     # ------------------------------------------------------------------
-    def _touch(self) -> None:
-        self._last_activity = time.monotonic()
-
-    async def _ttl_watchdog(self) -> None:
-        while not self._stop_event.is_set():
-            if self._inflight:
-                # A pool execution in progress is activity even when no
-                # frames arrive — never shut down under a working client.
-                self._touch()
-            idle = time.monotonic() - self._last_activity
-            if idle >= self._idle_ttl:
-                self._stop_event.set()
-                return
-            await asyncio.sleep(
-                max(0.05, min(self._idle_ttl - idle, self._idle_ttl / 4))
-            )
-
-    async def _handle_connection(self, reader, writer) -> None:
-        # Registered until the task is done, i.e. after its socket closed,
-        # so aclose() waits out every handler's teardown.
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-        self._connections += 1
-        write_lock = asyncio.Lock()
-        request_tasks: set[asyncio.Task] = set()
-
-        async def _respond(message: dict) -> None:
-            """Dispatch one request and write its response frame.
-
-            Runs as its own task so a connection can have many requests in
-            flight (pipelining) — responses come back as they complete,
-            matched by the echoed ``id``.  Clients that do not pipeline
-            never have more than one outstanding request, so they observe
-            strict request/response order regardless.
-            """
-            response = await self._dispatch(message)
-            if "id" in message:
-                response["id"] = message["id"]
-            try:
-                frame = encode_frame(response)
-            except ServeError as exc:  # oversized response
-                frame = encode_frame(
-                    {
-                        "ok": False,
-                        "error": "ServeError",
-                        "message": str(exc),
-                        **(
-                            {"id": message["id"]} if "id" in message else {}
-                        ),
-                    }
-                )
-            try:
-                async with write_lock:
-                    writer.write(frame)
-                    await writer.drain()
-            except ConnectionError:
-                pass  # client hung up before reading its response
-
-        try:
-            while True:
-                body = None
-                try:
-                    header = await reader.readexactly(4)
-                    length = parse_frame_length(header)
-                    body = await reader.readexactly(length)
-                    self._touch()
-                    message = decode_frame_payload(body)
-                except asyncio.IncompleteReadError:
-                    return  # client hung up at (or inside) a frame boundary
-                except ServeError as exc:
-                    # Oversized announcement or unparsable body: answer
-                    # with an error frame, then drop the stream — after a
-                    # framing violation it cannot be trusted.
-                    async with write_lock:
-                        writer.write(framing_error_frame(str(exc), body))
-                        await writer.drain()
-                    return
-                request = self._loop.create_task(_respond(message))
-                for registry in (request_tasks, self._conn_tasks):
-                    registry.add(request)
-                    request.add_done_callback(registry.discard)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            requests = list(request_tasks)
-            for request in requests:
-                request.cancel()
-            writer.close()
-            try:
-                await asyncio.gather(*requests, return_exceptions=True)
-                await writer.wait_closed()
-            except (ConnectionError, asyncio.CancelledError):
-                pass
-
     async def _dispatch(self, message: dict) -> dict:
-        self._requests_total += 1
         op = message.get("op")
         op_label = op if isinstance(op, str) else "invalid"
         trace_ctx = message.get("trace")
@@ -664,10 +475,10 @@ class DecompositionServer:
                     trace_ctx["trace_id"], trace_ctx.get("span_id")
                 ):
                     with _trace.span(f"server.{op_label}", op=op_label):
-                        response = await self._dispatch_inner(op, message)
+                        response = await super()._dispatch(message)
             response["spans"] = spans
         else:
-            response = await self._dispatch_inner(op, message)
+            response = await super()._dispatch(message)
         elapsed = time.perf_counter() - start
         logger.debug(
             "%s ok=%s %.2fms", op_label,
@@ -695,29 +506,6 @@ class DecompositionServer:
                 }, sort_keys=True),
             )
         return response
-
-    async def _dispatch_inner(self, op, message: dict) -> dict:
-        handler = self._OPS.get(op)
-        try:
-            if handler is None:
-                raise ParameterError(
-                    f"unknown op {op!r}; choices: {sorted(self._OPS)}"
-                )
-            return await handler(self, message)
-        except ReproError as exc:
-            self._errors += 1
-            return {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-        except Exception as exc:  # pragma: no cover - defensive
-            self._errors += 1
-            return {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": f"internal server error: {exc}",
-            }
 
     # ------------------------------------------------------------------
     # operations
@@ -1376,12 +1164,6 @@ class DecompositionServer:
             response["text"] = render_prometheus(snap)
         return response
 
-    async def _op_shutdown(self, message: dict) -> dict:
-        # The response is written before the connection loop reads again;
-        # run_async then tears everything down.
-        self._stop_event.set()
-        return {"ok": True, "stopping": True}
-
     _OPS = {
         "hello": _op_hello,
         "upload": _op_upload,
@@ -1396,47 +1178,18 @@ class DecompositionServer:
         "hierarchy": _op_hierarchy,
         "stats": _op_stats,
         "metrics": _op_metrics,
-        "shutdown": _op_shutdown,
+        "shutdown": FrameService._op_shutdown,
     }
 
 
-@contextmanager
 def serve_background(graphs=None, **kwargs):
     """A :class:`DecompositionServer` on a daemon thread, as a context.
 
     Yields the started server (``server.address`` is the bound
-    ``(host, port)``).  Used by tests, benchmarks, and notebook sessions
-    where the client lives in the same process::
+    ``(host, port)``)::
 
         with serve_background(graph) as server:
             with ServeClient(*server.address) as client:
                 ...
-
-    On exit the server is asked to shut down and the thread joined.
     """
-    server = DecompositionServer(graphs, **kwargs)
-    ready = threading.Event()
-    failure: list[BaseException] = []
-
-    def _runner() -> None:
-        try:
-            asyncio.run(server.run_async(ready=ready))
-        except BaseException as exc:  # pragma: no cover - startup failure
-            failure.append(exc)
-        finally:
-            ready.set()
-
-    thread = threading.Thread(
-        target=_runner, daemon=True, name="repro-serve"
-    )
-    thread.start()
-    ready.wait(timeout=60)
-    if failure:
-        raise failure[0]
-    if server.address is None:
-        raise ServeError("decomposition server failed to start")
-    try:
-        yield server
-    finally:
-        server.request_shutdown()
-        thread.join(timeout=60)
+    return DecompositionServer(graphs, **kwargs).in_background()

@@ -1,4 +1,4 @@
-"""Unit tests for the BFS engines (sequential, frontier)."""
+"""Unit tests for the BFS engines (sequential, frontier expansion)."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
-from repro.bfs.frontier import frontier_bfs, gather_frontier_arcs
+from repro.bfs.frontier import gather_frontier_arcs
 from repro.bfs.sequential import (
     bfs,
     eccentricity,
@@ -19,7 +19,6 @@ from repro.graphs.generators import (
     cycle_graph,
     erdos_renyi,
     grid_2d,
-    hypercube,
     path_graph,
 )
 
@@ -95,64 +94,3 @@ class TestGatherFrontierArcs:
         g = from_edges(3, [(0, 1)])
         src, dst = gather_frontier_arcs(g, np.asarray([2]))
         assert src.size == 0
-
-
-class TestFrontierBFS:
-    @pytest.mark.parametrize(
-        "graph_fn",
-        [
-            lambda: path_graph(20),
-            lambda: cycle_graph(15),
-            lambda: grid_2d(7, 9),
-            lambda: hypercube(5),
-            lambda: erdos_renyi(80, 0.05, seed=3),
-            lambda: complete_graph(9),
-        ],
-    )
-    def test_distances_match_sequential(self, graph_fn):
-        g = graph_fn()
-        seq = bfs(g, 0)
-        par = frontier_bfs(g, np.asarray([0]))
-        np.testing.assert_array_equal(seq.dist, par.dist)
-
-    def test_multi_source_distances(self):
-        g = grid_2d(6, 6)
-        sources = np.asarray([0, 35])
-        seq = multi_source_bfs(g, sources)
-        par = frontier_bfs(g, sources)
-        np.testing.assert_array_equal(seq.dist, par.dist)
-
-    def test_deterministic_smallest_source_claims(self):
-        g = path_graph(5)
-        res = frontier_bfs(g, np.asarray([0, 4]))
-        # middle vertex 2 is tied; source 0's wave wins via smaller parent id
-        assert res.source[2] == 0
-
-    def test_frontier_sizes_sum_to_reached(self):
-        g = grid_2d(5, 5)
-        res = frontier_bfs(g, np.asarray([0]))
-        assert sum(res.frontier_sizes) == g.num_vertices
-        assert res.num_rounds == len(res.frontier_sizes)
-
-    def test_max_rounds_truncation(self):
-        g = path_graph(10)
-        res = frontier_bfs(g, np.asarray([0]), max_rounds=3)
-        assert res.dist.max() == 3
-        assert np.all(res.dist[5:] == -1)
-
-    def test_work_counts_frontier_arcs(self):
-        g = grid_2d(5, 5)
-        res = frontier_bfs(g, np.asarray([0]))
-        assert res.work == g.num_arcs  # every vertex enters one frontier
-
-    def test_parent_consistency(self):
-        g = erdos_renyi(70, 0.06, seed=9)
-        res = frontier_bfs(g, np.asarray([0]))
-        for v in range(70):
-            if res.dist[v] > 0:
-                assert res.dist[res.parent[v]] == res.dist[v] - 1
-                assert g.has_edge(int(res.parent[v]), v)
-
-    def test_bad_sources(self):
-        with pytest.raises(ParameterError):
-            frontier_bfs(path_graph(3), np.asarray([7]))

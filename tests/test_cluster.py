@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
-import json
 import socket
-import struct
 import threading
 import time
 
@@ -445,36 +443,6 @@ class TestRelayPlane:
                     break
                 time.sleep(0.02)
         assert relayed() > before, "relay fast path never engaged"
-
-    @pytest.mark.parametrize(
-        "body, plain_json",
-        [(b'{"op":"hello"}', True), (b"hello there", False)],
-        ids=["v1-json", "garbage"],
-    )
-    def test_router_refuses_non_v2_bodies_once(
-        self, running_cluster, body, plain_json
-    ):
-        """A legacy v1 body gets one plain-JSON refusal naming v2; other
-        non-frames keep the malformed-frame error.  Either way the router
-        closes that connection and keeps serving others."""
-        with socket.create_connection(
-            running_cluster.address, timeout=10
-        ) as sock:
-            sock.sendall(struct.pack(">I", len(body)) + body)
-            stream = sock.makefile("rb")
-            reply = stream.read(parse_frame_length(stream.read(4)))
-            assert stream.read(1) == b""  # one reply, then closed
-        if plain_json:
-            response = json.loads(reply)
-            assert "v1" in response["message"]
-            assert "removed" in response["message"]
-            assert "v2" in response["message"]
-        else:
-            response = decode_frame_payload(reply)
-            assert "malformed frame" in response["message"]
-        assert response["ok"] is False and response["error"] == "ServeError"
-        with ServeClient(*running_cluster.address) as client:
-            assert client.stats()["ok"]
 
 
 # ---------------------------------------------------------------------------

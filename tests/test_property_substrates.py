@@ -6,7 +6,6 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bfs.frontier import frontier_bfs
 from repro.bfs.sequential import bfs, multi_source_bfs
 from repro.graphs.csr import CSRGraph
 from repro.graphs.io import from_json, to_json
@@ -47,17 +46,6 @@ def test_edge_array_degree_consistency(graph):
         degrees[u] += 1
         degrees[v] += 1
     np.testing.assert_array_equal(degrees, graph.degrees())
-
-
-@COMMON
-@given(random_graphs(), st.integers(0, 100))
-def test_frontier_bfs_matches_sequential(graph, seed):
-    rng = np.random.default_rng(seed)
-    source = int(rng.integers(graph.num_vertices))
-    np.testing.assert_array_equal(
-        bfs(graph, source).dist,
-        frontier_bfs(graph, np.asarray([source])).dist,
-    )
 
 
 @COMMON

@@ -38,7 +38,6 @@ from repro.serve import (
     serve_background,
 )
 from repro.serve.protocol import (
-    MAX_FRAME_BYTES,
     V2_MAGIC,
     as_array,
     compact_arrays,
@@ -47,7 +46,6 @@ from repro.serve.protocol import (
     framing_error_frame,
     parse_frame_length,
     peek_frame_fields,
-    read_frame_blocking,
     restamp_frame,
 )
 from repro.serve.store import GraphStore
@@ -613,29 +611,6 @@ class TestServeEndToEnd:
                 client._call({"op": "upload"})
             # The connection survives error responses.
             assert client.decompose(digest, 0.3, seed=1).num_pieces >= 1
-
-    def test_oversized_frame_announcement_gets_error_frame(
-        self, running_server
-    ):
-        """A header announcing a too-large frame must be answered with an
-        ok:false frame before the server drops the stream — not an abrupt
-        close plus an unhandled task exception."""
-        from repro.serve.protocol import MAX_FRAME_BYTES
-
-        server, _, _ = running_server
-        sock = socket.create_connection(server.address, timeout=10)
-        try:
-            sock.sendall(struct.pack(">I", MAX_FRAME_BYTES + 1))
-            from repro.serve.protocol import read_frame_blocking
-
-            response = read_frame_blocking(sock)
-            assert response is not None
-            assert response["ok"] is False
-            assert "maximum" in response["message"]
-            # The stream is then closed server-side.
-            assert read_frame_blocking(sock) is None
-        finally:
-            sock.close()
 
     def test_kind_gated_accessors(self, running_server):
         server, _, digest = running_server
