@@ -31,7 +31,9 @@ not asserted.
 The second phase (CL-WIRE) compares the two upload encodings on a
 >= 100k-edge graph: the binary upload frame (raw little-endian buffers
 with transport-side integer downcasting) against the JSON text upload of
-the same graph.  Full mode asserts binary <= 0.8x the text frame bytes.
+the same graph, built by the client's text-upload message builder (the
+document's bytes in the frame's binary tail).  Full mode asserts binary
+<= 0.8x the text frame bytes.
 It also reports the binary frame's bytes over the compacted arrays'
 bytes — the framing overhead.  ``REPRO_BENCH_SMOKE=1`` (or ``--smoke``)
 shrinks the workload to a seconds-fast in-process path-exercise and
@@ -54,7 +56,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.io import to_json
 from repro.serve import ServeClient, graph_digest, serve_background
 from repro.serve.aio_client import AsyncServeClient
-from repro.serve.client import graph_upload_message
+from repro.serve.client import graph_upload_message, text_upload_message
 from repro.serve.protocol import compact_arrays, encode_frame
 
 from common import Table, bench_scale, emit_bench_json
@@ -414,11 +416,7 @@ def test_upload_wire_bytes():
         scale = bench_scale()
         graph = erdos_renyi(800 * scale, 0.4 / scale, seed=9)
 
-    text_bytes = len(
-        encode_frame(
-            {"op": "upload", "format": "json", "payload": to_json(graph)}
-        )
-    )
+    text_bytes = len(encode_frame(text_upload_message(to_json(graph), "json")))
     binary_bytes = len(encode_frame(graph_upload_message(graph)))
     array_bytes = sum(
         arr.nbytes for arr in compact_arrays(graph.csr_arrays()).values()
@@ -430,7 +428,7 @@ def test_upload_wire_bytes():
         f"m={graph.num_edges}",
         ["upload", "frame_bytes", "vs_text"],
     )
-    table.add("text (JSON payload)", text_bytes, 1.0)
+    table.add("text (JSON document bytes)", text_bytes, 1.0)
     table.add("binary (CSR arrays)", binary_bytes, ratio)
     table.show()
     print(

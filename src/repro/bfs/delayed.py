@@ -88,11 +88,12 @@ class DelayedBFSResult:
     frontier_sizes:
         Number of vertices claimed in each active round.
     phase_seconds:
-        Measured wall time per phase (``gather`` — wake-up plus frontier
-        arc expansion; ``resolve`` — claim resolution), accumulated over
-        all rounds.  Populated only when :func:`repro.telemetry.enabled`
-        is true at call time; empty otherwise, so the disabled hot loop
-        takes no clock readings.
+        Measured wall time per phase (``setup`` — validation, the wake
+        schedule and the priorities, once per BFS; ``gather`` — wake-up
+        plus frontier arc expansion; ``resolve`` — claim resolution; the
+        last two accumulated over all rounds).  Populated only when
+        :func:`repro.telemetry.enabled` is true at call time; empty
+        otherwise, so the disabled hot loop takes no clock readings.
     """
 
     center: np.ndarray
@@ -264,6 +265,10 @@ def delayed_multisource_bfs(
         Both engines are bit-identical; ``"native"`` raises
         :class:`~repro.errors.ParameterError` when the extension is absent.
     """
+    # Phase timing is decided once per BFS, not per round: when telemetry
+    # is off the loop takes zero clock readings.
+    timed = telemetry.enabled()
+    setup_t0 = time.perf_counter() if timed else 0.0
     mode = resolve_kernel(kernel)
     n = graph.num_vertices
     start_time = np.ascontiguousarray(start_time, dtype=np.float64)
@@ -302,17 +307,30 @@ def delayed_multisource_bfs(
             frontier_sizes=[],
         )
 
-    # Wake schedule: eligible vertices sorted by waking round, consumed by a
-    # pointer as rounds advance.  Order within a round cannot change the
-    # winners, so the sort need not be stable.
-    eligible = (
-        np.arange(n, dtype=VERTEX_DTYPE)
-        if center_mask is None
-        else np.flatnonzero(center_mask).astype(VERTEX_DTYPE)
+    # Wake schedule: the eligible vertices grouped by waking round; group
+    # g is wake_order[bounds[g]:bounds[g + 1]] and wakes in round
+    # group_round[g].  Order within a round cannot change the winners, so
+    # any grouping sort will do: a stable argsort of the rounds relative
+    # to the first, cast to the narrowest unsigned dtype holding their
+    # span, is a radix sort for spans below 2**16.
+    eligible = None if center_mask is None else np.flatnonzero(center_mask)
+    wake = floor_start if eligible is None else floor_start[eligible]
+    first_round = int(wake.min())
+    span = int(wake.max()) - first_round
+    narrow = next(
+        dtype for dtype in (np.uint8, np.uint16, np.uint32, np.uint64)
+        if span <= np.iinfo(dtype).max
     )
-    wake_order = eligible[np.argsort(floor_start[eligible])]
-    wake_rounds_sorted = floor_start[wake_order]
-    ptr = 0
+    wake = (wake - first_round).astype(narrow)
+    wake_order = np.argsort(wake, kind="stable")
+    wake = wake[wake_order]
+    if eligible is not None:
+        wake_order = eligible[wake_order]
+    wake_order = wake_order.astype(VERTEX_DTYPE, copy=False)
+    starts = np.concatenate(([0], np.flatnonzero(wake[1:] != wake[:-1]) + 1))
+    group_round = first_round + wake[starts].astype(np.int64)
+    bounds = np.append(starts, wake.shape[0])
+    group = 0
 
     if mode == "native":
         native = native_module()
@@ -326,23 +344,23 @@ def delayed_multisource_bfs(
     frontier = np.zeros(0, dtype=VERTEX_DTYPE)
     frontier_sizes: list[int] = []
     work = 0
-    t = int(wake_rounds_sorted[0])
-    first_round = t
+    t = first_round
     last_round = t
     active = 0
     limit = np.inf if max_round is None else int(max_round)
-    # Phase timing is decided once per BFS, not per round: when telemetry
-    # is off the loop takes zero clock readings.
-    timed = telemetry.enabled()
     gather_s = resolve_s = 0.0
+    if timed:
+        setup_s = time.perf_counter() - setup_t0
 
     while t <= limit:
         if timed:
             phase_t0 = time.perf_counter()
         # ---- gather wake-up bids for round t --------------------------------
-        wake_hi = int(np.searchsorted(wake_rounds_sorted, t, side="right"))
-        waking = wake_order[ptr:wake_hi]
-        ptr = wake_hi
+        if group < group_round.shape[0] and group_round[group] == t:
+            waking = wake_order[bounds[group] : bounds[group + 1]]
+            group += 1
+        else:
+            waking = wake_order[:0]
 
         if native is not None:
             # Fused gather + CRCW bid pass: wake-ups, frontier arc expansion,
@@ -414,17 +432,14 @@ def delayed_multisource_bfs(
             t += 1
         else:
             frontier = np.zeros(0, dtype=VERTEX_DTYPE)
-            # Fast-forward to the next pending wake-up.  Compress the wake
-            # schedule to still-unclaimed entries in one vectorised pass
-            # (the old one-by-one Python skip was O(n) interpreter steps).
-            rest = wake_order[ptr:]
-            rest = rest[center[rest] == -1]
-            if rest.size == 0:
+            # Fast-forward to the round of the next still-unclaimed waker,
+            # found in one vectorised pass over the rest of the schedule.
+            pending = np.flatnonzero(center[wake_order[bounds[group] :]] == -1)
+            if pending.size == 0:
                 break
-            wake_order = rest
-            wake_rounds_sorted = floor_start[rest]
-            ptr = 0
-            t = int(wake_rounds_sorted[0])
+            at = int(bounds[group] + pending[0])
+            group = int(np.searchsorted(bounds, at, side="right")) - 1
+            t = int(group_round[group])
 
     owned = center != -1
     hops = np.full(n, -1, dtype=np.int64)
@@ -438,6 +453,7 @@ def delayed_multisource_bfs(
         work=work,
         frontier_sizes=frontier_sizes,
         phase_seconds=(
-            {"gather": gather_s, "resolve": resolve_s} if timed else {}
+            {"setup": setup_s, "gather": gather_s, "resolve": resolve_s}
+            if timed else {}
         ),
     )

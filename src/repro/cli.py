@@ -996,13 +996,12 @@ def _upload_target(
         upload = client.upload_file(args.graph_file)
     elif args.graph:
         from repro.graphs.generators import by_name
-        from repro.graphs.io import to_json
         from repro.graphs.weighted import weights_by_name
 
         graph = by_name(args.graph, seed=args.graph_seed)
         if weights:
             graph = weights_by_name(graph, weights, seed=args.graph_seed)
-        upload = client.upload_text(to_json(graph), format="json")
+        upload = client.upload_graph(graph)
     else:
         raise ParameterError(
             f"{args.command} needs --digest, --graph or --graph-file"

@@ -140,11 +140,11 @@ def partition_bfs_with_shifts(
         # here: they already live on every PartitionTrace, and the serve
         # layer folds them into per-method histograms from the trace
         # (DecompositionServer._observe_trace), keeping this hot path at
-        # two histogram updates.
+        # three histogram updates.
         extra_phases = {
             "phases": {
-                "gather": result.phase_seconds.get("gather", 0.0),
-                "resolve": result.phase_seconds.get("resolve", 0.0),
+                phase: result.phase_seconds.get(phase, 0.0)
+                for phase in ("setup", "gather", "resolve")
             }
         }
         for phase, seconds in extra_phases["phases"].items():

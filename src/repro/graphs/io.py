@@ -165,8 +165,7 @@ def write_edge_list(graph: CSRGraph, path: str | Path) -> None:
 def read_edge_list(path: str | Path) -> CSRGraph:
     """Read the format produced by :func:`write_edge_list`."""
     path = Path(path)
-    text = path.read_text(errors="surrogateescape")
-    return _parse_edge_list(text, source=str(path))
+    return _parse_edge_list(path.read_bytes(), source=str(path))
 
 
 #: Bytes per tokenizer block.  Blocks end just past a line break, so a
@@ -192,9 +191,22 @@ def _is_space(arr: np.ndarray) -> np.ndarray:
 
 
 def _count_breaks(data: bytes) -> int:
-    """Line breaks in ``data``, counted as :func:`_is_break` counts them."""
-    breaks = sum(data.count(bytes([c])) for c in b"\n\x0b\x0c\r\x1c\x1d\x1e")
-    return breaks - data.count(b"\r\n")
+    """Line breaks in ``data``, counted as :func:`_is_break` counts them
+    (``\\r\\n`` is one break), one block of masks at a time."""
+    arr = np.frombuffer(data, dtype=np.uint8)
+    # memchr: most inputs hold no \r, and then no \r\n pair to discount.
+    crlf = b"\r" in data
+    count = 0
+    for lo in range(0, arr.shape[0], _BLOCK_BYTES):
+        # One byte of overlap sees a \r\n pair cut by the block boundary.
+        win = arr[max(lo - 1, 0) : lo + _BLOCK_BYTES]
+        brk = _is_break(win[1:] if lo else win)
+        count += int(np.count_nonzero(brk))
+        if crlf:
+            count -= int(
+                np.count_nonzero((win[1:] == 0x0A) & (win[:-1] == 0x0D))
+            )
+    return count
 
 
 def _line_blocks(read):
@@ -471,8 +483,7 @@ def _edge_rows(
         )
 
 
-def _parse_edge_list(text: str, *, source: str) -> CSRGraph:
-    data = text.encode("utf-8", "surrogatepass")
+def _parse_edge_list(data: bytes, *, source: str) -> CSRGraph:
     n, m, header_no, body = _edge_list_header(
         _tokenized(io.BytesIO(data).read, source), source
     )
@@ -543,7 +554,7 @@ def write_metis(graph: CSRGraph, path: str | Path) -> None:
 def read_metis(path: str | Path) -> CSRGraph:
     """Read the METIS adjacency format (unweighted or ``fmt=001``)."""
     path = Path(path)
-    return _parse_metis(path.read_text(), source=str(path))
+    return _parse_metis(_decode(path.read_bytes()), source=str(path))
 
 
 def _parse_metis(text: str, *, source: str) -> CSRGraph:
@@ -749,17 +760,36 @@ def _graphs_identical(a: CSRGraph, b: CSRGraph) -> bool:
     return True
 
 
+def _decode(data: bytes) -> str:
+    """The text METIS and JSON read.  Undecodable bytes survive as
+    surrogates, for the parsers to reject as bad tokens by line."""
+    return data.decode("utf-8", "surrogateescape")
+
+
+#: Each parser takes the input's bytes; only METIS and JSON decode them.
 _PARSERS = {
     "edges": _parse_edge_list,
-    "metis": _parse_metis,
-    "json": lambda text, source: from_json(text, source=source),
+    "metis": lambda data, source: _parse_metis(_decode(data), source=source),
+    "json": lambda data, source: from_json(_decode(data), source=source),
 }
+
+#: ``str.isspace()`` within ASCII: what ``str.lstrip()`` drops there.
+_ASCII_SPACE = bytes(c for c in range(0x80) if chr(c).isspace())
+
+
+def _starts_json(data: bytes) -> bool:
+    """Whether ``data`` decoded and left-stripped starts with ``{``/``[``."""
+    head = data.lstrip(_ASCII_SPACE)[:1]
+    if head >= b"\x80":
+        # Possibly Unicode whitespace: only decoding can tell.
+        return _decode(data).lstrip().startswith(("{", "["))
+    return head in (b"{", b"[")
 
 
 def parse_graph(
-    text: str, format: str = "auto", *, source: str = "<string>"
+    data: str | bytes, format: str = "auto", *, source: str = "<string>"
 ) -> CSRGraph:
-    """Parse a graph from serialised ``text`` in any supported format.
+    """Parse a graph from serialised ``data`` in any supported format.
 
     ``format="auto"`` sniffs: a document starting with ``{`` is JSON; a
     three-token ``n m fmt`` header is METIS; a two-token header is
@@ -769,35 +799,40 @@ def parse_graph(
     rather than guessing; pass an explicit ``format`` for such files.
     This is the parsing path behind :func:`load_graph` and the
     decomposition service's graph uploads.
+
+    ``data`` is the input's bytes; the edge-list tokenizer reads them as
+    they are, and only METIS and JSON decode them (UTF-8, an undecodable
+    byte is a :class:`~repro.errors.GraphError` by line).  A ``str`` is
+    encoded once, here.
     """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
     if format != "auto":
         if format not in _PARSERS:
             raise ParameterError(
                 f"unknown graph format {format!r}; "
                 f"choices: {sorted((*GRAPH_FORMATS, 'auto'))}"
             )
-        return _PARSERS[format](text, source=source)
-    stripped = text.lstrip()
-    if stripped.startswith(("{", "[")):
-        return from_json(text, source=source)
-    data = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+        return _PARSERS[format](data, source=source)
+    if _starts_json(data):
+        return _PARSERS["json"](data, source=source)
     header: list[str] = []
-    for blk in _tokenized(data.read, source, check_ascii=False):
+    for blk in _tokenized(io.BytesIO(data).read, source, check_ascii=False):
         if blk.lines.size:
             if blk.ntok[0] >= 3:  # the header's token count
-                return _parse_metis(text, source=source)
+                return _PARSERS["metis"](data, source=source)
             at = int(blk.first[0])
             header = [blk.text(i) for i in range(at, at + int(blk.ntok[0]))]
             break
     try:
-        as_edges: CSRGraph | None = _parse_edge_list(text, source=source)
+        as_edges: CSRGraph | None = _parse_edge_list(data, source=source)
         edge_exc: GraphError | None = None
     except GraphError as exc:
         as_edges, edge_exc = None, exc
     as_metis: CSRGraph | None = None
     if as_edges is None or _metis_fits(header):
         try:
-            as_metis = _parse_metis(text, source=source)
+            as_metis = _PARSERS["metis"](data, source=source)
         except GraphError:
             pass
     if as_edges is not None and as_metis is not None:
@@ -852,12 +887,10 @@ def load_graph(path: str | Path, format: str = "auto") -> CSRGraph:
             f"choices: {sorted((*GRAPH_FORMATS, 'auto'))}"
         )
     try:
-        # Undecodable bytes survive as surrogates, for the parsers to
-        # reject as bad tokens (or non-ASCII edge-list lines) by line.
-        text = path.read_text(errors="surrogateescape")
+        data = path.read_bytes()
     except OSError as exc:
         raise GraphError(f"cannot read graph file {path}: {exc}") from None
-    return parse_graph(text, format, source=str(path))
+    return parse_graph(data, format, source=str(path))
 
 
 # ---------------------------------------------------------------------------

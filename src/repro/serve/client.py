@@ -50,10 +50,12 @@ __all__ = [
     "ServeSpannerResult",
     "ServeTreeResult",
     "ServeHierarchyResult",
+    "graph_upload_message",
+    "text_upload_message",
 ]
 
 #: Classes :func:`graph_upload_message` ships as binary arrays — the
-#: server's whitelist; anything else falls back to the JSON text path.
+#: server's whitelist; anything else falls back to a JSON text upload.
 _BINARY_UPLOAD_CLASSES = ("CSRGraph", "WeightedCSRGraph")
 
 
@@ -228,12 +230,29 @@ def hierarchy_from_response(response: dict) -> ServeHierarchyResult:
     )
 
 
+def text_upload_message(data: str | bytes, format: str = "auto") -> dict:
+    """The upload request for serialised graph text.
+
+    The text's bytes travel as one ``uint8`` array in the frame's binary
+    tail — no JSON string escaping on either side — and reach the server's
+    parser undecoded.  A ``str`` is encoded to UTF-8 once, here, as
+    :func:`~repro.graphs.io.parse_graph` encodes one.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    return {
+        "op": "upload",
+        "format": format,
+        "payload": np.frombuffer(data, dtype=np.uint8),
+    }
+
+
 def graph_upload_message(graph: CSRGraph) -> dict:
     """The upload request for ``graph``.
 
     The raw CSR arrays travel in compact transport dtypes (digest-neutral:
     the server constructor restores canonical dtypes); a graph class the
-    server cannot rebuild from arrays falls back to the JSON text payload.
+    server cannot rebuild from arrays falls back to a JSON text upload.
     """
     if not isinstance(graph, CSRGraph):
         raise ParameterError(
@@ -246,7 +265,7 @@ def graph_upload_message(graph: CSRGraph) -> dict:
             "class": cls_name,
             "arrays": compact_arrays(graph.csr_arrays()),
         }
-    return {"op": "upload", "format": "json", "payload": to_json(graph)}
+    return text_upload_message(to_json(graph), "json")
 
 
 def _digest_of(response: dict) -> str:
@@ -285,13 +304,11 @@ class ServeOps:
         ``weighted``)."""
         return self._request(graph_upload_message(graph))
 
-    def upload_text(self, payload: str, format: str = "auto") -> dict:
-        """Upload serialised graph text; returns the full server response
-        (``digest``, ``known``, ``num_vertices``, ``num_edges``,
-        ``weighted``)."""
-        return self._request(
-            {"op": "upload", "format": format, "payload": payload}
-        )
+    def upload_text(self, payload: str | bytes, format: str = "auto") -> dict:
+        """Upload serialised graph text (``str``, or its bytes as read from
+        a file); returns the full server response (``digest``, ``known``,
+        ``num_vertices``, ``num_edges``, ``weighted``)."""
+        return self._request(text_upload_message(payload, format))
 
     def upload_abort(self, upload_id: str) -> dict:
         """Drop an in-progress chunked upload server-side."""
@@ -661,12 +678,14 @@ class ServeClient(ServeOps):
 
             format = format_for_path(path)
         try:
-            text = path.read_text()
+            data = path.read_bytes()
         except OSError as exc:
             raise ServeError(
                 f"cannot read graph file {path}: {exc}"
             ) from None
-        return self.upload_text(text, format=format)
+        # The bytes go as they are: the server's parser answers a bad
+        # byte with a GraphError naming its line.
+        return self.upload_text(data, format=format)
 
     # ------------------------------------------------------------------
     # lifecycle

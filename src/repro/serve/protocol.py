@@ -16,7 +16,11 @@ materialises each array as an ``np.frombuffer`` view over the frame body
 touching the tail (:func:`peek_frame_fields`, :func:`restamp_frame`).
 Uploads also downcast index arrays to the narrowest safe integer dtype
 (:func:`compact_arrays`); the receiving constructor restores ``int64``,
-so content digests are unchanged.
+so content digests are unchanged.  A text upload's serialised graph
+travels the same way: its bytes are one ``uint8`` array (``payload``,
+built by :func:`repro.serve.client.text_upload_message`), so the header
+stays a few dozen bytes, decoding a frame on an event loop does no work
+in the size of the text, and the parser receives the bytes as sent.
 
 This layout is protocol generation 2 (:data:`PROTOCOL_VERSION`, which
 ``hello`` advertises), and it is the only one spoken.  Generation 1 sent

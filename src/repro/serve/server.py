@@ -105,8 +105,9 @@ def upload_builder(message: dict):
     SHA-256) and is meant to run on an executor thread, under a copy of
     the request's context (``contextvars.copy_context().run``) so that its
     ``graphs.parse`` and ``graphs.digest`` spans join the request's trace.
-    Two request
-    shapes: text (``payload`` + ``format``) and binary (``arrays`` +
+    Two request shapes: text (``payload`` + ``format``: the serialised
+    graph's bytes as a ``uint8`` array in the frame's binary tail, handed
+    to the parser without any decoding) and binary (``arrays`` +
     ``class``, the ``csr_arrays()`` contract straight off the wire —
     clients send raw compact-dtype buffers; the graph constructor restores
     canonical dtypes and validates structure, so the resulting digest
@@ -145,10 +146,19 @@ def upload_builder(message: dict):
         return _build_and_hash
 
     payload = message.get("payload")
-    if not isinstance(payload, str):
+    if not (
+        isinstance(payload, np.ndarray)
+        and payload.dtype == np.uint8
+        and payload.ndim == 1
+    ):
+        got = (
+            f"a {payload.dtype} array of shape {payload.shape}"
+            if isinstance(payload, np.ndarray) else type(payload).__name__
+        )
         raise ParameterError(
-            "upload needs a string 'payload' holding the serialised "
-            "graph (or binary 'arrays' + 'class')"
+            "upload needs 'payload': the serialised graph's bytes as a "
+            "uint8 array (ServeClient.upload_text sends one), or binary "
+            f"'arrays' + 'class'; got {got}"
         )
     fmt = message.get("format", "auto")
     if not isinstance(fmt, str):
@@ -156,7 +166,9 @@ def upload_builder(message: dict):
 
     def _parse_and_hash():
         with _trace.span("graphs.parse", format=fmt):
-            graph = parse_graph(payload, fmt, source=f"<upload:{fmt}>")
+            graph = parse_graph(
+                payload.tobytes(), fmt, source=f"<upload:{fmt}>"
+            )
         with _trace.span("graphs.digest"):
             return graph, graph_digest(graph)
 

@@ -37,6 +37,7 @@ from repro.lowstretch.akpw import akpw_spanning_tree
 from repro.pipeline import EngineProvider, provider_from_spec
 from repro.serve import ServeClient, graph_digest, serve_background
 from repro.serve.aio_client import AsyncServeClient
+from repro.serve.client import text_upload_message
 from repro.serve.protocol import decode_frame_payload, parse_frame_length
 from repro.spanners.cluster_spanner import ldd_spanner
 
@@ -237,7 +238,7 @@ class TestUploadOnMiss:
                     "digest": digest,
                     "beta": 0.3,
                     "seed": 1,
-                    "graph": {"payload": to_json(graph), "format": "json"},
+                    "graph": text_upload_message(to_json(graph), "json"),
                 }
             )
             assert response["shard"] == router.owner_of(digest)
@@ -265,10 +266,23 @@ class TestUploadOnMiss:
                         "digest": missing,
                         "beta": 0.3,
                         "seed": 1,
-                        "graph": {
-                            "payload": to_json(wrong),
-                            "format": "json",
-                        },
+                        "graph": text_upload_message(to_json(wrong), "json"),
+                    }
+                )
+
+    def test_str_inline_graph_gets_the_byte_form_error(self, running_cluster):
+        router = running_cluster
+        graph = erdos_renyi(33, 0.2, seed=80)
+        with ServeClient(*router.address) as client:
+            with pytest.raises(
+                ServeError, match=r"^ParameterError: upload needs 'payload'"
+            ):
+                client._call(
+                    {
+                        "op": "decompose",
+                        "digest": graph_digest(graph),
+                        "beta": 0.3,
+                        "graph": {"payload": to_json(graph), "format": "json"},
                     }
                 )
 

@@ -3,7 +3,8 @@
 A :class:`DecompositionServer` and a :class:`ClusterRouter` run one frame
 loop, one lifecycle, one error envelope and one idle watchdog, so every
 framing case here runs against both: an oversized announcement, a
-non-v2 body, a client that hangs up mid-frame, and the typed errors.
+non-v2 body, a client that hangs up mid-frame, the typed errors, and
+the one wire form of a text upload (its bytes in the binary tail).
 The router's idle TTL is checked against a fake shard that answers later
 than the TTL, on the relay plane and on the task path.
 """
@@ -18,12 +19,27 @@ import threading
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
 from repro.cluster import router_background
-from repro.errors import ServeError
-from repro.graphs.generators import grid_2d
-from repro.serve import DecompositionServer, ServeClient, serve_background
+from repro.errors import GraphError, ServeError
+from repro.graphs.generators import erdos_renyi, grid_2d
+from repro.graphs.io import (
+    load_graph,
+    parse_graph,
+    to_json,
+    write_edge_list,
+    write_metis,
+)
+from repro.graphs.weighted import weights_by_name
+from repro.serve import (
+    DecompositionServer,
+    ServeClient,
+    graph_digest,
+    serve_background,
+)
+from repro.serve.client import text_upload_message
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     decode_frame_payload,
@@ -216,6 +232,89 @@ def test_error_envelope_frames(endpoint, request_fields, answer):
 
 
 # ---------------------------------------------------------------------------
+# text uploads travel as bytes, on both endpoints
+# ---------------------------------------------------------------------------
+def _serialised(graph, fmt: str, tmp_path) -> bytes:
+    """``graph`` in ``fmt``, as the bytes a file of it holds."""
+    if fmt == "json":
+        return to_json(graph).encode()
+    path = tmp_path / f"g.{fmt}"
+    (write_edge_list if fmt == "edges" else write_metis)(graph, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["plain", "weighted"])
+@pytest.mark.parametrize("fmt", ["edges", "metis", "json", "auto"])
+def test_text_upload_bytes_give_the_graph_digest(
+    endpoint, fmt, weighted, tmp_path
+):
+    graph = erdos_renyi(40, 0.15, seed=12)
+    if weighted:
+        graph = weights_by_name(graph, "uniform:0.5,2.0", seed=12)
+    data = _serialised(graph, "edges" if fmt == "auto" else fmt, tmp_path)
+    with ServeClient(*endpoint.address) as client:
+        response = client.upload_text(data, fmt)
+    assert response["digest"] == graph_digest(graph)
+    assert response["weighted"] is weighted
+
+
+@pytest.mark.parametrize(
+    "payload",
+    ["3 1\n0 1\n", np.array([51, 32, 49], dtype=np.int64)],
+    ids=["str", "int64-array"],
+)
+def test_text_upload_needs_the_byte_form(endpoint, payload):
+    """The text's bytes are the only text wire form: a JSON string or an
+    array of another dtype is a typed ParameterError."""
+    message = {"op": "upload", "format": "edges", "payload": payload}
+    with ServeClient(*endpoint.address) as client:
+        with pytest.raises(
+            ServeError, match=r"^ParameterError: upload needs 'payload'.*uint8"
+        ):
+            client._call(message)
+        assert client.stats()["ok"]
+
+
+@pytest.mark.parametrize(
+    "fmt, data",
+    [
+        ("edges", b"3 2\n0 1\n1 \xff2\n"),
+        ("metis", b"3 2\n2\n1 \xff3\n2\n"),
+        ("json", b'{"num_vertices": 3, "edges": [[0, 1], [1, \xff2]]}'),
+        ("json", b'{"num_vertices": "3\xff", "edges": [[0, 1]]}'),
+        ("auto", b"3 2\n0 1\n1 \xff2\n"),
+    ],
+    ids=["edges", "metis", "json-token", "json-string", "auto"],
+)
+def test_invalid_utf8_upload_is_a_graph_error(endpoint, fmt, data):
+    """A byte that is no UTF-8 gets the parser's GraphError naming it —
+    the message a local parse of the same bytes gives — never a decode
+    failure."""
+    source = f"<upload:{fmt}>"
+    with pytest.raises(GraphError) as local:
+        parse_graph(data, fmt, source=source)
+    with ServeClient(*endpoint.address) as client:
+        with pytest.raises(ServeError) as served:
+            client.upload_text(data, fmt)
+    assert str(served.value) == f"GraphError: {local.value}"
+    assert source in str(served.value)
+
+
+def test_upload_file_sends_the_file_bytes(endpoint, tmp_path):
+    """A file that is no UTF-8 reaches the server byte for byte and gets
+    the line-numbered GraphError ``load_graph`` gives for it."""
+    path = tmp_path / "bad.edges"
+    path.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+    with pytest.raises(GraphError, match=r":3: non-ASCII byte"):
+        load_graph(path)
+    with ServeClient(*endpoint.address) as client:
+        with pytest.raises(
+            ServeError, match=r"^GraphError: <upload:edges>:3: non-ASCII byte"
+        ):
+            client.upload_file(path)
+
+
+# ---------------------------------------------------------------------------
 # the router's idle TTL spares requests it is still serving
 # ---------------------------------------------------------------------------
 @contextmanager
@@ -299,7 +398,7 @@ def test_router_ttl_spares_requests_in_progress(plane):
                     )
                 else:
                     # An inline graph keeps a graph op off the relay.
-                    request["graph"] = {"payload": "0 1\n"}
+                    request["graph"] = text_upload_message("0 1\n")
                 relayed = _relayed(router)
                 response = client._call({**request, "seed": 7, "delay": SLOW})
                 assert response["ok"] and response["seed"] == 7

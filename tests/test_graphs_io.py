@@ -529,6 +529,39 @@ class TestBlockTokenizerOracle:
         assert got == expected
 
     @settings(ORACLE, max_examples=100)
+    @given(
+        decorated_edge_lists(),
+        st.sampled_from(["edges", "metis", "json", "auto"]),
+        st.sampled_from([1 << 18, 16, 1]),
+    )
+    def test_bytes_input_matches_str_input(self, case, fmt, block_bytes):
+        """The parsers read bytes: ``parse_graph(text.encode())`` gives
+        the digest, or the exact GraphError, that ``parse_graph(text)``
+        gives."""
+        text, _ = case
+
+        def parse(data):
+            return parse_graph(data, format=fmt, source="t")
+
+        with mock.patch.object(graphs_io, "_BLOCK_BYTES", block_bytes):
+            assert _outcome(parse, text.encode()) == _outcome(parse, text)
+
+    @settings(ORACLE, max_examples=100)
+    @given(
+        st.text(st.sampled_from("\n\r\v\f\x1c\x1d\x1e 1"), max_size=40),
+        st.integers(1, 5),
+    )
+    def test_break_count_bounds_per_block(self, text, block_bytes):
+        """The pre-allocation bound counts each break once, a ``\\r\\n``
+        cut by a mask-block boundary too."""
+        data = text.encode()
+        expected = sum(
+            data.count(bytes([c])) for c in b"\n\v\f\r\x1c\x1d\x1e"
+        ) - data.count(b"\r\n")
+        with mock.patch.object(graphs_io, "_BLOCK_BYTES", block_bytes):
+            assert graphs_io._count_breaks(data) == expected
+
+    @settings(ORACLE, max_examples=100)
     @given(decorated_edge_lists(), st.integers(1, 24))
     def test_streaming_reader_matches_oracle(self, case, block_bytes):
         text, info = case

@@ -37,6 +37,7 @@ from repro.serve import (
     graph_digest,
     serve_background,
 )
+from repro.serve.client import text_upload_message
 from repro.serve.protocol import (
     V2_MAGIC,
     as_array,
@@ -235,11 +236,11 @@ class TestProtocol:
 
         small = encode_frame({"op": "upload"})[4:]
         monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64)
-        big = {"op": "upload", "payload": "x" * 256}
         with pytest.raises(ServeError, match="exceeds the protocol"):
-            encode_frame(big)
+            encode_frame(text_upload_message("x" * 256))
+        # A restamp rewrites header fields only.
         with pytest.raises(ServeError, match="exceeds the protocol"):
-            restamp_frame(small, big)
+            restamp_frame(small, {"message": "x" * 256})
         # The receive side enforces the same bound on the announcement.
         with pytest.raises(ServeError, match="exceeding"):
             parse_frame_length(struct.pack(">I", 65))

@@ -291,7 +291,7 @@ class TestEnabledGate:
         _, result_trace = partition_bfs(grid_2d(6, 6), 0.4, seed=3)
         phases = result_trace.extra["phases"]
         # Unit-suffix-free names are the phase_seconds key contract.
-        assert set(phases) == {"shifts", "gather", "resolve"}
+        assert set(phases) == {"shifts", "setup", "gather", "resolve"}
         assert all(seconds >= 0.0 for seconds in phases.values())
 
     def test_gate_does_not_change_assignments(self):
